@@ -360,42 +360,6 @@ func BenchmarkShardedLevelCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedLevelCheckSteal is the scheduler ablation for the
-// sharded level check: the work-stealing chunk queue versus the
-// contiguous-range baseline on the same Tnn(5,2) n=6 negative instance.
-// With contiguous ranges the uneven per-rank enumeration cost leaves
-// some shards idle while others churn; the chunk queue rebalances, so
-// steal/shards=k should scale strictly better than contiguous/shards=k
-// for k > 1 while returning byte-identical results (difftest enforces
-// the identity; this benchmark tracks the scaling gap).
-func BenchmarkShardedLevelCheckSteal(b *testing.B) {
-	ft := types.Tnn(5, 2)
-	const n = 6
-	shardSet := []int{2, 4}
-	if c := runtime.NumCPU(); c > 4 {
-		shardSet = append(shardSet, c)
-	}
-	ctx := context.Background()
-	for _, shards := range shardSet {
-		for _, contiguous := range []bool{false, true} {
-			mode := "steal"
-			if contiguous {
-				mode = "contiguous"
-			}
-			b.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ok, _, err := discern.ShardedIsNDiscerning(ctx, ft, n, shards,
-						discern.ShardOptions{Contiguous: contiguous})
-					if err != nil || ok {
-						b.Fatalf("tnn(5,2) must not be 6-discerning: ok=%v err=%v", ok, err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkGraphInternWarm measures the packed-word graph walk in
 // isolation: one model.Graph is built and fully expanded by a priming
 // Check, then every iteration re-walks the interned graph. No engine,
@@ -560,12 +524,10 @@ func BenchmarkGraphStoreWarmStart(b *testing.B) {
 }
 
 // BenchmarkTheorem13Graph measures graph-backed Theorem 13 chains: the
-// construction walking one shared exploration graph for all stages
-// (shared, the default) versus re-exploring each stage on a one-shot
-// graph (per-stage, the pre-cache behavior, kept as the
-// FreshGraphPerStage ablation). The tas-reg case is the multi-walk
-// chain: its colliding stage forces a second full exploration, which the
-// shared graph serves without expanding a single new node.
+// construction walking one shared exploration graph for all stages. The
+// tas-reg case is the multi-walk chain: its colliding stage forces a
+// second full exploration, which the shared graph serves without
+// expanding a single new node.
 func BenchmarkTheorem13Graph(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -578,8 +540,8 @@ func BenchmarkTheorem13Graph(b *testing.B) {
 		{"tnn-rec42", proto.NewTnnRecoverable(4, 2, 2), []int{1, 0}, []int{0, 2}, false},
 		// tas-reg's chain legitimately dies at stage 1 (wait-free-only
 		// algorithms are not crash-tolerant — that is Golab's
-		// separation); both variants still pay stage 1's exploration,
-		// which is the interesting one to amortize.
+		// separation); the chain still pays stage 1's exploration, which
+		// is the interesting one to amortize.
 		{"tas-reg", proto.NewTASConsensus(), []int{1, 0}, []int{2, 2}, true},
 	}
 	for _, c := range cases {
@@ -587,19 +549,6 @@ func BenchmarkTheorem13Graph(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				chain, err := model.Theorem13ChainOpts(c.pr, c.inputs, c.quota, model.ChainOpts{})
-				if err != nil && !c.mayErr {
-					b.Fatalf("chain failed: %v", err)
-				}
-				if len(chain.Stages) == 0 {
-					b.Fatal("no stages")
-				}
-			}
-		})
-		b.Run(c.name+"/per-stage", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				chain, err := model.Theorem13ChainOpts(c.pr, c.inputs, c.quota,
-					model.ChainOpts{FreshGraphPerStage: true})
 				if err != nil && !c.mayErr {
 					b.Fatalf("chain failed: %v", err)
 				}

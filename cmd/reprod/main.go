@@ -86,8 +86,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
@@ -135,11 +133,10 @@ func run(args []string) error {
 	if err := jf.Validate(); err != nil {
 		return err
 	}
-	// Validate -backend at startup: a typo should stop the server from
-	// coming up, not answer invalid_argument on every request.
-	if ef.Backend != "" && !slices.Contains(repro.Backends(), ef.Backend) {
-		return fmt.Errorf("-backend: unknown backend %q (valid: %s)",
-			ef.Backend, strings.Join(repro.Backends(), ", "))
+	// A -backend typo should stop the server from coming up, not answer
+	// invalid_argument on every request.
+	if err := ef.Validate(); err != nil {
+		return err
 	}
 	if err := of.Validate(); err != nil {
 		return err

@@ -209,6 +209,7 @@ func TestRunErrors(t *testing.T) {
 		{"-max-jobs", "0"},
 		{"-max-jobs", "-3"},
 		{"-job-queue", "0"},
+		{"-backend", "no-such-backend"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v should fail", args)

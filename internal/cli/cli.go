@@ -39,8 +39,8 @@ type EngineFlags struct {
 	// ignored (with a warning) when -graph-cache-budget is negative.
 	GraphDir string
 	// Backend selects the level-decider backend (-backend; empty = the
-	// engine default, "search"). Unknown names error from Engine/EngineOn
-	// before any work runs.
+	// engine default, "search"). Validate rejects unknown names; Engine
+	// and EngineOn call it before any work runs.
 	Backend string
 
 	// Cache is the persistent cache opened for -cache-file; it is set by
@@ -75,6 +75,17 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	fs.StringVar(&f.Backend, "backend", "",
 		fmt.Sprintf("level-decider backend, one of %s (default %q)", strings.Join(repro.Backends(), ", "), "search"))
 	return f
+}
+
+// Validate rejects an unknown -backend. Options have no error channel,
+// so tools call it (EngineOn does) before any work: a typo'd backend
+// fails the tool at startup, not its first level check or request.
+func (f *EngineFlags) Validate() error {
+	if f.Backend != "" && !slices.Contains(repro.Backends(), f.Backend) {
+		return fmt.Errorf("-backend: unknown backend %q (valid: %s)",
+			f.Backend, strings.Join(repro.Backends(), ", "))
+	}
+	return nil
 }
 
 // Context returns the run context implied by the flags: background, or a
@@ -137,11 +148,8 @@ func (f *EngineFlags) OpenCache() (*repro.PersistentCache, error) {
 // (flushing its journal), reporting failures on stderr; canceling ctx
 // remains the caller's job.
 func (f *EngineFlags) EngineOn(ctx context.Context, extra ...repro.Option) (*repro.Engine, func(), error) {
-	// Validate eagerly: options have no error channel, and a typo'd
-	// backend should fail the tool at startup, not its first level check.
-	if f.Backend != "" && !slices.Contains(repro.Backends(), f.Backend) {
-		return nil, nil, fmt.Errorf("-backend: unknown backend %q (valid: %s)",
-			f.Backend, strings.Join(repro.Backends(), ", "))
+	if err := f.Validate(); err != nil {
+		return nil, nil, err
 	}
 	opts := []repro.Option{
 		repro.WithContext(ctx),

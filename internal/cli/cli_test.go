@@ -107,6 +107,25 @@ func TestEngineCacheFileOpenError(t *testing.T) {
 	}
 }
 
+// TestBackendValidated pins -backend validation: Validate and Engine
+// reject an unknown name with the registry's names listed, and accept
+// every registered one.
+func TestBackendValidated(t *testing.T) {
+	f := parse(t, "-backend", "no-such-backend")
+	want := `-backend: unknown backend "no-such-backend" (valid: auto, bitset, search)`
+	if err := f.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+	if _, _, err := f.Engine(); err == nil || err.Error() != want {
+		t.Fatalf("Engine = %v, want %q", err, want)
+	}
+	for _, name := range append(repro.Backends(), "") {
+		if err := parse(t, "-backend", name).Validate(); err != nil {
+			t.Errorf("-backend %q: %v", name, err)
+		}
+	}
+}
+
 func TestOpenCacheMemoizes(t *testing.T) {
 	f := parse(t, "-cache-file", filepath.Join(t.TempDir(), "decisions"))
 	pc1, err := f.OpenCache()

@@ -199,11 +199,10 @@ func VerifyRecord(t *spec.FiniteType, n int, w *record.Witness) error {
 }
 
 // Check is the differential oracle for one (type, n): it runs every
-// registered backend serially and at each of the given shard counts,
-// plus both shard schedulers (the work-stealing chunk queue and the
-// contiguous-range baseline) at each count, and fails on any divergence
-// — in decision, in witness bytes (across backends, serial-vs-sharded,
-// or stealing-vs-contiguous), or in a positive witness that does not
+// registered backend serially and at each of the given shard counts
+// (the sharded runs go through the work-stealing scheduler), and fails
+// on any divergence — in decision, in witness bytes (across backends or
+// serial-vs-sharded), or in a positive witness that does not
 // independently verify. shards entries must be >= 1; pass {1, 2, 7} to
 // cover degenerate, even, and uneven sharding.
 func Check(ctx context.Context, t *spec.FiniteType, n int, shards []int) error {
@@ -249,29 +248,6 @@ func Check(ctx context.Context, t *spec.FiniteType, n int, shards []int) error {
 		}
 	}
 
-	// Both shard schedulers, cross-validated directly against the serial
-	// reference: the work-stealing chunk queue (the default every backend
-	// above just exercised) and the contiguous-range baseline must both
-	// reproduce the reference decision and witness bytes at every shard
-	// count.
-	for _, s := range shards {
-		for _, contiguous := range []bool{false, true} {
-			mode := "stealing"
-			if contiguous {
-				mode = "contiguous"
-			}
-			sok, sw, err := discern.ShardedIsNDiscerning(ctx, t, n, s,
-				discern.ShardOptions{Contiguous: contiguous})
-			if err != nil {
-				return fmt.Errorf("%s: discerning n=%d shards=%d: %w", mode, n, s, err)
-			}
-			if sok != refOK || !reflect.DeepEqual(sw, refW) {
-				return fmt.Errorf("%s: discerning n=%d shards=%d diverges from serial: (%v, %v) vs (%v, %v)",
-					mode, n, s, sok, sw, refOK, refW)
-			}
-		}
-	}
-
 	// Recording.
 	var refROK bool
 	var refRW *record.Witness
@@ -305,23 +281,6 @@ func Check(ctx context.Context, t *spec.FiniteType, n int, shards []int) error {
 			if sok != ok || !reflect.DeepEqual(sw, w) {
 				return fmt.Errorf("%s: recording n=%d shards=%d diverges from serial: (%v, %v) vs (%v, %v)",
 					name, n, s, sok, sw, ok, w)
-			}
-		}
-	}
-	for _, s := range shards {
-		for _, contiguous := range []bool{false, true} {
-			mode := "stealing"
-			if contiguous {
-				mode = "contiguous"
-			}
-			sok, sw, err := record.ShardedIsNRecording(ctx, t, n, s,
-				record.ShardOptions{Contiguous: contiguous})
-			if err != nil {
-				return fmt.Errorf("%s: recording n=%d shards=%d: %w", mode, n, s, err)
-			}
-			if sok != refROK || !reflect.DeepEqual(sw, refRW) {
-				return fmt.Errorf("%s: recording n=%d shards=%d diverges from serial: (%v, %v) vs (%v, %v)",
-					mode, n, s, sok, sw, refROK, refRW)
 			}
 		}
 	}

@@ -34,8 +34,7 @@
 // best-rank bound prunes chunks that can no longer hold the first
 // witness — a rank is only ever skipped when a strictly lower witness
 // is already in hand, so the lowest-ranked witness is found regardless
-// of claim interleaving. The pre-stealing contiguous-range split is
-// kept behind ShardOptions.Contiguous as the cross-validated baseline.
-// Witness JSON encoding round-trips byte-identically — the contract the
-// persistent decision store relies on.
+// of claim interleaving. Witness JSON encoding round-trips
+// byte-identically — the contract the persistent decision store relies
+// on.
 package discern

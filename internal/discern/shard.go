@@ -20,18 +20,16 @@ type ShardReport struct {
 	Shard int
 	// Shards is the total worker count of the search.
 	Shards int
-	// Lo and Hi delimit the assignment ranks the worker touched: for a
-	// contiguous search its fixed half-open range, for a work-stealing
-	// search the bounds of its first and last claimed chunks (the claimed
-	// set in between belongs to whichever worker got there first). Both
-	// are -1 when the worker claimed nothing.
+	// Lo and Hi delimit the assignment ranks the worker touched: the
+	// start of its first claimed chunk and the end of its last (the
+	// chunks in between may belong to other workers). Both are -1 when
+	// the worker claimed nothing.
 	Lo, Hi int64
 	// Scanned counts the assignments the worker actually checked; early
 	// exit (a lower-ranked witness elsewhere, or cancellation) may leave
-	// it short of Hi-Lo.
+	// it short of the ranks its chunks hold.
 	Scanned int64
-	// Chunks counts the rank-queue chunks the worker claimed; 0 in a
-	// contiguous search.
+	// Chunks counts the rank-queue chunks the worker claimed.
 	Chunks int64
 	// Found reports that the worker found a witnessing assignment.
 	Found bool
@@ -43,11 +41,6 @@ type ShardReport struct {
 type ShardOptions struct {
 	// Options is the underlying decision procedure's configuration.
 	Options
-	// Contiguous selects the fixed contiguous-range split
-	// (SearchShardedContiguous) instead of the default work-stealing
-	// chunk queue. Both return byte-identical results; contiguous exists
-	// as the scheduling ablation baseline and differential-test foil.
-	Contiguous bool
 	// OnShard, if non-nil, is called once per worker as it finishes, from
 	// the worker's goroutine.
 	OnShard func(ShardReport)
@@ -71,11 +64,10 @@ func atomicMin(a *atomic.Int64, v int64) {
 // queue: the rank space is cut into fixed-size chunks and workers claim
 // the next chunk with one atomic increment whenever they run dry, so an
 // early-exiting or unlucky worker's leftover ranks are picked up by the
-// others instead of idling a core — the scheduling weakness of fixed
-// contiguous ranges on early-witness sweeps. check is called once per
-// assignment with the decoded tuple (the slice is reused within a
-// worker; check must copy anything it keeps) and returns non-nil to
-// report a witnessing assignment; it must be deterministic and safe for
+// others instead of idling a core. check is called once per assignment
+// with the decoded tuple (the slice is reused within a worker; check
+// must copy anything it keeps) and returns non-nil to report a
+// witnessing assignment; it must be deterministic and safe for
 // concurrent use.
 //
 // The lowest-ranked witnessing assignment wins, which makes the outcome
@@ -211,109 +203,20 @@ func SearchSharded[W any](ctx context.Context, space TupleSpace, shards int, che
 	return nil, nil
 }
 
-// SearchShardedContiguous is SearchSharded with the original fixed
-// contiguous-range schedule: space is split into `shards` equal ranges,
-// one worker per range, no stealing. Results are byte-identical to
-// SearchSharded (and to a serial scan); the difference is purely
-// scheduling — a worker that exhausts or prunes its range idles while
-// others finish. Kept as the ablation baseline for the stealing
-// schedule and as a foil for the differential tests.
-func SearchShardedContiguous[W any](ctx context.Context, space TupleSpace, shards int, check func(ops []spec.Op) *W, onShard func(ShardReport)) (*W, error) {
-	total := space.Count()
-	if total <= 0 {
-		return nil, ctx.Err()
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if int64(shards) > total {
-		shards = int(total)
-	}
-	base, rem := total/int64(shards), total%int64(shards)
-
-	var best atomic.Int64
-	best.Store(noWitness)
-	wits := make([]*W, shards)
-	canceled := make([]bool, shards)
-	done := ctx.Done()
-
-	fed, _ := pool.Run(ctx, shards, shards, func(s int) error {
-		start := time.Now()
-		lo := int64(s)*base + min(int64(s), rem)
-		hi := lo + base
-		if int64(s) < rem {
-			hi++
-		}
-		ops := make([]spec.Op, space.n)
-		space.Unrank(lo, ops)
-		scanned := int64(0)
-	scan:
-		for r := lo; r < hi; r++ {
-			if r > best.Load() {
-				break // a lower-ranked witness exists; this shard cannot win
-			}
-			select {
-			case <-done:
-				canceled[s] = true
-				break scan
-			default:
-			}
-			scanned++
-			if w := check(ops); w != nil {
-				wits[s] = w
-				atomicMin(&best, r)
-				break scan
-			}
-			space.Next(ops)
-		}
-		if onShard != nil {
-			onShard(ShardReport{Shard: s, Shards: shards, Lo: lo, Hi: hi,
-				Scanned: scanned, Found: wits[s] != nil, Elapsed: time.Since(start)})
-		}
-		return nil
-	})
-	for s := fed; s < shards; s++ {
-		canceled[s] = true // never started
-	}
-
-	// Contiguous ranges mean the lowest shard with a hit holds the
-	// lowest-ranked witness. The win stands only if every shard below it
-	// ran to completion: those shards scan strictly lower ranks, so they
-	// never prune against `best` and either finished or were canceled.
-	for s := 0; s < shards; s++ {
-		if wits[s] != nil {
-			for b := 0; b < s; b++ {
-				if canceled[b] {
-					return nil, ctx.Err()
-				}
-			}
-			return wits[s], nil
-		}
-		if canceled[s] {
-			return nil, ctx.Err()
-		}
-	}
-	return nil, nil
-}
-
 // ShardedIsNDiscerning is IsNDiscerningCtx with the operation-assignment
-// enumeration split across `shards` concurrent workers (work-stealing by
-// default; opts.Contiguous selects the fixed-range baseline). It returns
-// exactly what the serial scan returns — same verdict, same witness (the
-// lowest-ranked witnessing assignment, completed by checkAssignment's
-// deterministic choice of u and partition) — while a losing worker is
-// cancelled as soon as it provably cannot hold the winning assignment.
-// shards below 1 are clamped to 1.
+// enumeration split across `shards` concurrent workers of the
+// work-stealing SearchSharded. It returns exactly what the serial scan
+// returns — same verdict, same witness (the lowest-ranked witnessing
+// assignment, completed by checkAssignment's deterministic choice of u
+// and partition) — while a losing worker is cancelled as soon as it
+// provably cannot hold the winning assignment. shards below 1 are
+// clamped to 1.
 func ShardedIsNDiscerning(ctx context.Context, t *spec.FiniteType, n, shards int, opts ShardOptions) (bool, *Witness, error) {
 	if n < 2 {
 		panic(fmt.Sprintf("discern: n-discerning is undefined for n=%d (need n >= 2)", n))
 	}
 	space := NewTupleSpace(t.NumOps(), n, opts.Naive)
-	search := SearchSharded[Witness]
-	if opts.Contiguous {
-		search = SearchShardedContiguous[Witness]
-	}
-	w, err := search(ctx, space, shards, func(ops []spec.Op) *Witness {
+	w, err := SearchSharded(ctx, space, shards, func(ops []spec.Op) *Witness {
 		return checkAssignment(t, n, ops, opts.Options)
 	}, opts.OnShard)
 	if err != nil {

@@ -83,34 +83,33 @@ func TestDeciderRunsCounted(t *testing.T) {
 	}
 }
 
-func TestCheckRequestBackendValidated(t *testing.T) {
-	e := New()
+// TestUnknownBackendFailsModelChecks pins that an engine whose backend
+// did not resolve refuses model-checking calls too, although a walk runs
+// no level decider: the engine is misconfigured, and every entry point
+// says so with the registry's error.
+func TestUnknownBackendFailsModelChecks(t *testing.T) {
+	e := New(WithBackend("no-such-backend"))
 	p, err := e.ResolveProtocol("tas-reg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := []int{0, 1}
-	if _, err := e.Check(p, CheckRequest{Inputs: inputs, Backend: "no-such-backend"}); err == nil {
+	req := CheckRequest{Inputs: []int{0, 1}, Ctx: context.Background()}
+	if _, err := e.Check(p, req); err == nil {
 		t.Fatal("Check with unknown backend succeeded")
 	}
-	if _, err := e.Theorem13(p, CheckRequest{Inputs: inputs, Backend: "no-such-backend"}); err == nil {
+	if _, err := e.Theorem13(p, req); err == nil {
 		t.Fatal("Theorem13 with unknown backend succeeded")
 	}
-	items, _, err := e.CheckBatch(p, []CheckRequest{
-		{Inputs: inputs, Backend: "no-such-backend"},
-		{Inputs: inputs, Backend: "bitset"},
-	})
-	if err != nil {
+	if _, _, err := e.CheckBatch(p, []CheckRequest{req, req}); err == nil {
+		t.Fatal("CheckBatch with unknown backend succeeded")
+	}
+	// The same calls pass on an engine with a registered backend.
+	ok := New(WithBackend("bitset"))
+	if _, err := ok.Check(p, req); err != nil {
 		t.Fatal(err)
 	}
-	if items[0].Err == nil {
-		t.Fatal("batch item with unknown backend succeeded")
-	}
-	if items[1].Err != nil || !items[1].OK() {
-		t.Fatalf("batch item with valid backend failed: %+v", items[1])
-	}
-	// A valid override on Check passes through.
-	if _, err := e.Check(p, CheckRequest{Inputs: inputs, Backend: "bitset", Ctx: context.Background()}); err != nil {
-		t.Fatal(err)
+	items, _, err := ok.CheckBatch(p, []CheckRequest{req})
+	if err != nil || items[0].Err != nil || !items[0].OK() {
+		t.Fatalf("CheckBatch on a valid backend: %+v, %v", items, err)
 	}
 }

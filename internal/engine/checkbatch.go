@@ -63,11 +63,15 @@ func (e *Engine) requestCtx(reqCtx context.Context) (context.Context, func()) {
 // counter deltas of its graphs over the call (a fully warm batch reports
 // Expanded == 0; concurrent calls sharing a cached graph may blur the
 // attribution, never the results). CheckBatch itself errors only when
-// the engine context is done or the protocol fails validation.
+// the engine context is done, the engine's backend did not resolve, or
+// the protocol fails validation.
 func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem, model.GraphStats, error) {
 	var agg model.GraphStats
 	if err := e.ctx.Err(); err != nil {
 		return nil, agg, err
+	}
+	if e.decErr != nil {
+		return nil, agg, e.decErr
 	}
 	if err := model.Validate(p); err != nil {
 		return nil, agg, err
@@ -83,10 +87,6 @@ func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem,
 	before := make(map[*model.Graph]model.GraphStats)
 	graphFor := make([]*model.Graph, len(reqs))
 	for i, req := range reqs {
-		if err := e.checkBackend(req); err != nil {
-			items[i].Err = err
-			continue
-		}
 		k := inputsKey(req.Inputs)
 		g, ok := graphs[k]
 		if !ok {

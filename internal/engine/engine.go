@@ -356,9 +356,9 @@ func (e *Engine) run(j levelJob) error {
 		e.metrics.observeDecide(e.dec.Name())
 	}
 	// Witnesses are served as deep copies: their Teams/Ops slices are
-	// exported, and the cached originals outlive any one call (the
-	// Default engine's cache is process-wide), so a caller mutating an
-	// Analysis must not corrupt later analyses.
+	// exported, and the cached originals outlive any one call (a cache
+	// may be shared across engines via WithCache), so a caller mutating
+	// an Analysis must not corrupt later analyses.
 	j.mu.Lock()
 	switch j.prop {
 	case Discerning:
@@ -539,14 +539,6 @@ type CheckRequest struct {
 	MaxNodes int
 	// SkipLiveness disables the recoverable wait-freedom (cycle) check.
 	SkipLiveness bool
-	// Backend optionally overrides the engine's level-decider backend
-	// for this request ("" keeps the engine's). Unknown names fail the
-	// request up front with the decider registry's error, so a wire
-	// request carrying a bad backend is rejected at the engine boundary
-	// rather than deep inside a run. Model-checking walks themselves run
-	// no level decider; the override binds the backend any level
-	// decisions made on behalf of this request would use.
-	Backend string
 	// Ctx, when non-nil, cancels this request independently of the
 	// engine context; the run stops as soon as either is done. Inside
 	// CheckBatch this is the per-request cancellation handle — one
@@ -562,19 +554,6 @@ func (e *Engine) maxNodes(req CheckRequest) int {
 	return e.budget
 }
 
-// checkBackend validates a request's backend override against the
-// registry (and surfaces the engine's own unresolved backend, if any).
-func (e *Engine) checkBackend(req CheckRequest) error {
-	if e.decErr != nil {
-		return e.decErr
-	}
-	if req.Backend == "" {
-		return nil
-	}
-	_, err := decider.Get(req.Backend)
-	return err
-}
-
 // Check model-checks a consensus protocol under the engine's context and
 // state budget (plus the request's own context, when set). The walk runs
 // on the engine's cached exploration graph for (p, inputs): a repeat
@@ -582,8 +561,8 @@ func (e *Engine) checkBackend(req CheckRequest) error {
 // requests against one protocol, CheckBatch amortizes the state-space
 // expansion across them within a single call as well.
 func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error) {
-	if err := e.checkBackend(req); err != nil {
-		return nil, err
+	if e.decErr != nil {
+		return nil, e.decErr
 	}
 	start := time.Now()
 	// Event payloads (Name, Sprintf details) are built only when a
@@ -626,8 +605,8 @@ func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error
 // spaces once — and a repeated chain (or a Check of the same protocol
 // and inputs) reuses them again.
 func (e *Engine) Theorem13(p model.Protocol, req CheckRequest) (*model.Chain, error) {
-	if err := e.checkBackend(req); err != nil {
-		return nil, err
+	if e.decErr != nil {
+		return nil, e.decErr
 	}
 	start := time.Now()
 	if e.progress != nil {

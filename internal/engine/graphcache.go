@@ -67,9 +67,10 @@ type GraphStore interface {
 // miss tries a warm load from disk before expanding cold, Sync (called
 // by the engine after walks) spills a dirty graph's growth
 // asynchronously — walks never block on the disk — eviction spills a
-// dirty victim before forgetting it, and Flush spills everything
-// synchronously for shutdown. A key whose load or spill errored is
-// marked store-less and served purely in memory from then on.
+// dirty victim before forgetting it, and Flush spills everything and
+// waits for every spill in flight, evicted victims' included, for
+// shutdown. A key whose load or spill errored is marked store-less and
+// served purely in memory from then on.
 type GraphCache struct {
 	mu      sync.Mutex
 	budget  uint64
@@ -85,6 +86,13 @@ type GraphCache struct {
 	// warm Gets probe entries via an allocation-free string(keyBuf) map
 	// lookup and only materialize a key string on a miss.
 	keyBuf []byte
+
+	// inflight counts spills started and not yet finished, and idle is
+	// signalled (on mu) as each one finishes: Flush waits on it. spillErr
+	// is the first spill error the next Flush has yet to report.
+	inflight int
+	idle     *sync.Cond
+	spillErr error
 
 	hits, misses, evicted uint64
 	st                    GraphStoreStats
@@ -167,11 +175,13 @@ func NewGraphCache(budget int) *GraphCache {
 	if budget <= 0 {
 		budget = DefaultGraphCacheBudget
 	}
-	return &GraphCache{
+	c := &GraphCache{
 		budget:  uint64(budget),
 		entries: make(map[string]*gcEntry),
 		byGraph: make(map[*model.Graph]*gcEntry),
 	}
+	c.idle = sync.NewCond(&c.mu)
+	return c
 }
 
 // SetStore installs the persistence backend. Install before serving
@@ -310,22 +320,35 @@ func (c *GraphCache) Sync(g *model.Graph) {
 	if !ok || c.store == nil || e.noStore || e.spilling || !e.dirty() {
 		return
 	}
+	c.startSpill(e)
+}
+
+// startSpill marks e spilling and persists its growth on a new goroutine
+// (lock held).
+func (c *GraphCache) startSpill(e *gcEntry) {
 	e.spilling = true
+	c.inflight++
 	go c.spill(e)
 }
 
 // spill exports e's graph and persists the delta, then updates the
 // entry's durable markers. Runs off the cache lock; the store
-// serializes concurrent spills internally.
+// serializes concurrent spills internally. A failure marks the key
+// store-less and is kept for Flush to report.
 func (c *GraphCache) spill(e *gcEntry) {
 	snap := e.g.Export()
 	n, err := c.store.Spill(e.fp, e.inputs, snap)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.spilling = false
+	c.inflight--
+	c.idle.Broadcast()
 	if err != nil {
 		c.st.Errors++
 		e.noStore = true
+		if c.spillErr == nil {
+			c.spillErr = err
+		}
 		return
 	}
 	if n > 0 {
@@ -340,52 +363,36 @@ func (c *GraphCache) spill(e *gcEntry) {
 	}
 }
 
-// Flush synchronously spills every dirty entry — the shutdown path,
-// called after request and job traffic has drained. It returns the
-// first spill error; keys that already failed are skipped.
+// Flush spills every dirty cached entry and waits until no spill is in
+// flight — including the asynchronous ones Sync and eviction started,
+// whose entries may have left the cache already — so a process may exit
+// right after it returns. It is the shutdown path, called after request
+// and job traffic has drained, and returns the first spill error since
+// the previous Flush; keys that already failed are skipped.
 func (c *GraphCache) Flush() error {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.store == nil {
-		c.mu.Unlock()
 		return nil
 	}
-	var dirty []*gcEntry
-	for _, e := range c.entries {
-		if !e.noStore && e.dirty() {
-			dirty = append(dirty, e)
-		}
-	}
-	c.mu.Unlock()
-
-	var first error
-	for _, e := range dirty {
-		snap := e.g.Export()
-		n, err := c.store.Spill(e.fp, e.inputs, snap)
-		c.mu.Lock()
-		if err != nil {
-			c.st.Errors++
-			e.noStore = true
-			if first == nil {
-				first = err
-			}
-		} else {
-			if n > 0 {
-				c.st.Spills++
-				c.st.SpilledNodes += uint64(n)
-			}
-			if nodes := uint64(len(snap.Nodes)); nodes > e.spilledNodes {
-				e.spilledNodes = nodes
-			}
-			if exp := uint64(snap.NumExpanded()); exp > e.spilledExpanded {
-				e.spilledExpanded = exp
+	// The second pass catches entries whose spill was already in flight
+	// when Flush began: that spill exported the graph as it was then.
+	for pass := 0; pass < 2; pass++ {
+		for _, e := range c.entries {
+			if !e.noStore && !e.spilling && e.dirty() {
+				c.startSpill(e)
 			}
 		}
-		c.mu.Unlock()
+		for c.inflight > 0 {
+			c.idle.Wait()
+		}
 	}
-	return first
+	err := c.spillErr
+	c.spillErr = nil
+	return err
 }
 
 // Stats snapshots the cache's counters.
@@ -431,11 +438,10 @@ func (c *GraphCache) enforce(keep *gcEntry) {
 			return
 		}
 		if c.store != nil && !victim.noStore && !victim.spilling && victim.dirty() {
-			// Fire-and-forget: the goroutine keeps the evicted graph alive
-			// exactly as an in-flight walk would, and the store serializes
-			// it against every other spill.
-			victim.spilling = true
-			go c.spill(victim)
+			// The goroutine keeps the evicted graph alive exactly as an
+			// in-flight walk would, the store serializes it against every
+			// other spill, and Flush waits for it.
+			c.startSpill(victim)
 		}
 		c.unlink(victim)
 		delete(c.entries, victim.key)

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,10 +14,13 @@ import (
 
 // slowStore wraps a GraphStore and delays every Spill, widening the
 // window in which an eviction (enforce) races the asynchronous delta
-// spill a Sync fired for the same entry.
+// spill a Sync fired for the same entry. It counts the Spills that
+// returned, and fails them with fail when set.
 type slowStore struct {
-	inner GraphStore
-	delay time.Duration
+	inner    GraphStore
+	delay    time.Duration
+	fail     error
+	returned atomic.Int32
 }
 
 func (s *slowStore) Load(fp string, inputs []int) (*model.GraphSnapshot, error) {
@@ -23,7 +28,11 @@ func (s *slowStore) Load(fp string, inputs []int) (*model.GraphSnapshot, error) 
 }
 
 func (s *slowStore) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, error) {
+	defer s.returned.Add(1)
 	time.Sleep(s.delay)
+	if s.fail != nil {
+		return 0, s.fail
+	}
 	return s.inner.Spill(fp, inputs, snap)
 }
 
@@ -161,5 +170,91 @@ func TestGraphCacheEvictionRacesSpill(t *testing.T) {
 	}
 	if st := c2.Stats(); st.Store == nil || st.Store.Errors != 0 {
 		t.Fatalf("fresh cache hit store errors: %+v", st.Store)
+	}
+}
+
+// evictDirty walks one graph on a one-node-budget cache without a Sync,
+// then Gets a second key, so the first graph is evicted dirty and its
+// spill starts asynchronously.
+func evictDirty(t *testing.T, c *GraphCache) {
+	t.Helper()
+	p := proto.NewCASRecoverable(2)
+	g, err := c.Get(p, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Check(model.CheckOpts{Inputs: []int{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get(p, []int{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Evicted != 1 || st.Graphs != 1 {
+		t.Fatalf("want the walked graph evicted: %+v", st)
+	}
+}
+
+// TestGraphCacheFlushWaitsForEvictedSpill pins the shutdown contract: an
+// evicted dirty graph has left the cache, yet Flush must not return
+// before that graph's asynchronous Spill has, and the graph must then be
+// complete on disk.
+func TestGraphCacheFlushWaitsForEvictedSpill(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &slowStore{inner: raw, delay: 50 * time.Millisecond}
+	c := NewGraphCache(1)
+	c.SetStore(rec)
+	evictDirty(t, c)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.returned.Load() == 0 {
+		t.Fatal("Flush returned before the evicted graph's Spill did")
+	}
+	if st := c.Stats(); st.Store.Spills != 1 || st.Store.Errors != 0 {
+		t.Fatalf("want one clean spill: %+v", st.Store)
+	}
+
+	// The victim's expansion is on disk: a fresh cache warm-loads it and
+	// re-walks it without expanding.
+	raw2, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewGraphCache(0)
+	c2.SetStore(raw2)
+	g, err := c2.Get(proto.NewCASRecoverable(2), []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := g.Stats()
+	if _, err := g.Check(model.CheckOpts{Inputs: []int{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if after := g.Stats(); after.Expanded != before.Expanded || before.Expanded == 0 {
+		t.Fatalf("warm re-walk: expanded %d -> %d, want a loaded graph and no new expansion",
+			before.Expanded, after.Expanded)
+	}
+}
+
+// TestGraphCacheFlushReportsEvictedSpillError: a failed asynchronous
+// spill of an evicted graph surfaces from the next Flush, and only once.
+func TestGraphCacheFlushReportsEvictedSpillError(t *testing.T) {
+	raw, err := graphstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	c := NewGraphCache(1)
+	c.SetStore(&slowStore{inner: raw, delay: 10 * time.Millisecond, fail: boom})
+	evictDirty(t, c)
+	if err := c.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("Flush = %v, want the evicted graph's spill error", err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("second Flush = %v, want the error reported once", err)
 	}
 }

@@ -65,24 +65,18 @@ type ChainOpts struct {
 	// OnStage, when non-nil, is invoked after each stage is classified —
 	// the engine's progress hook.
 	OnStage func(stage int, info *CriticalInfo)
-	// Graph, when non-nil, is the shared exploration graph every stage
-	// walks (it must have been built for pr and inputs, e.g. served by
-	// the engine's graph cache). When nil — and FreshGraphPerStage is
-	// unset — the construction builds one graph itself and shares it
-	// across stages: each stage is a StartTrace-overlay walk, so an
-	// L-stage chain expands the common state space once, not L times.
+	// Graph, when non-nil, is the exploration graph every stage walks
+	// (it must have been built for pr and inputs, e.g. served by the
+	// engine's graph cache). When nil the construction builds one graph
+	// itself. Either way each stage is a StartTrace-overlay walk of that
+	// one graph, so an L-stage chain expands the common state space once,
+	// not L times.
 	Graph *Graph
-	// FreshGraphPerStage restores the historical behavior of exploring
-	// every stage on its own one-shot graph. It exists as the ablation
-	// baseline for benchmarks and the byte-identity property tests;
-	// results are identical either way, only the expansion work differs.
-	// Ignored when Graph is set.
-	FreshGraphPerStage bool
 }
 
 // Theorem13ChainOpts is Theorem13Chain with cancellation, a per-stage
-// node budget, a stage progress hook, and shared-graph exploration: by
-// default all stages walk one exploration graph (ChainOpts.Graph, or a
+// node budget, a stage progress hook, and an optional caller-supplied
+// graph: all stages walk one exploration graph (ChainOpts.Graph, or a
 // private one), so the chain's overlapping per-stage state spaces are
 // expanded once.
 func Theorem13ChainOpts(pr Protocol, inputs []int, quota []int, o ChainOpts) (*Chain, error) {
@@ -91,7 +85,7 @@ func Theorem13ChainOpts(pr Protocol, inputs []int, quota []int, o ChainOpts) (*C
 	prefix := schedule.Schedule{}
 
 	g := o.Graph
-	if g == nil && !o.FreshGraphPerStage {
+	if g == nil {
 		var err error
 		if g, err = NewGraph(pr, inputs); err != nil {
 			return chain, err
@@ -99,21 +93,14 @@ func Theorem13ChainOpts(pr Protocol, inputs []int, quota []int, o ChainOpts) (*C
 	}
 
 	for stage := 0; stage <= n; stage++ {
-		opts := CheckOpts{
+		res, err := g.Check(CheckOpts{
 			Ctx:          o.Ctx,
 			Inputs:       inputs,
 			CrashQuota:   quota,
 			StartTrace:   prefix,
 			MaxNodes:     o.MaxNodes,
 			SkipLiveness: true,
-		}
-		var res *Result
-		var err error
-		if g != nil {
-			res, err = g.Check(opts)
-		} else {
-			res, err = Check(pr, opts)
-		}
+		})
 		if err != nil {
 			return chain, err
 		}

@@ -1,12 +1,14 @@
 package model_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/proto"
+	"repro/internal/schedule"
 )
 
 // TestTheorem13ChainCAS runs the mechanized Theorem 13 construction on
@@ -109,47 +111,65 @@ func chainCases() []struct {
 	}
 }
 
+// nextStageStart is the reference for the chain's moves: the start of
+// the stage after st, in an n-process protocol — st's start and critical
+// trace, then the Figure 2 crash of team v's maximal suffix for a
+// v-hiding stage, or Figure 1's step-and-crash of p_{n-1} for a
+// colliding one.
+func nextStageStart(st model.ChainStage, n int) schedule.Schedule {
+	next := st.Start.Concat(st.Info.Trace)
+	switch st.Info.Class {
+	case "0-hiding", "1-hiding":
+		v := int(st.Info.Class[0] - '0')
+		k := n - 1
+		for k > 0 && st.Info.Teams[k-1] == v {
+			k--
+		}
+		for p := k; p < n; p++ {
+			next = next.Append(schedule.Crash(p))
+		}
+	case "colliding":
+		next = next.Append(schedule.Step(n-1), schedule.Crash(n-1))
+	}
+	return next
+}
+
 // TestTheorem13ChainGraphMatchesPerStage is the chain byte-identity
 // property test: the shared-graph construction must produce stages
 // identical — start schedules, critical traces, classifications, team
-// vectors — to the historical per-stage construction (FreshGraphPerStage)
-// AND to a direct serial replay of every stage (a fresh model.Check from
-// the stage's start prefix followed by FindCritical).
+// vectors, critical configurations — to a direct serial replay of every
+// stage (a fresh model.Check from the stage's start prefix followed by
+// FindCritical). A chain that fails must fail with the error the serial
+// replay of its next stage gives.
 func TestTheorem13ChainGraphMatchesPerStage(t *testing.T) {
 	for _, tc := range chainCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			shared, errShared := model.Theorem13ChainOpts(tc.pr, tc.inputs, tc.quota, model.ChainOpts{})
-			fresh, errFresh := model.Theorem13ChainOpts(tc.pr, tc.inputs, tc.quota,
-				model.ChainOpts{FreshGraphPerStage: true})
-			if (errShared == nil) != (errFresh == nil) {
-				t.Fatalf("error behavior diverged: shared %v, per-stage %v", errShared, errFresh)
-			}
-			if errShared != nil {
-				if errShared.Error() != errFresh.Error() {
-					t.Fatalf("errors diverged: shared %v, per-stage %v", errShared, errFresh)
-				}
-				return
-			}
-			if shared.String() != fresh.String() {
-				t.Fatalf("shared-graph chain diverged from per-stage chain:\n got %s\nwant %s",
-					shared, fresh)
-			}
-
-			// Replay every stage serially: Check from the stage's start
-			// prefix, FindCritical, and compare the full classification.
-			for i, st := range shared.Stages {
+			serial := func(stage int, start schedule.Schedule) (*model.CriticalInfo, error) {
 				res, err := model.Check(tc.pr, model.CheckOpts{
 					Inputs:       tc.inputs,
 					CrashQuota:   tc.quota,
-					StartTrace:   st.Start,
+					StartTrace:   start,
 					SkipLiveness: true,
 				})
 				if err != nil {
-					t.Fatalf("stage %d serial replay: %v", i, err)
+					return nil, err
 				}
 				info, err := model.FindCritical(res)
 				if err != nil {
-					t.Fatalf("stage %d serial FindCritical: %v", i, err)
+					return nil, fmt.Errorf("stage %d: %w", stage, err)
+				}
+				return info, nil
+			}
+
+			start := schedule.Schedule{}
+			for i, st := range shared.Stages {
+				if got, want := st.Start.String(), start.String(); got != want {
+					t.Fatalf("stage %d: start diverged: got [%s] want [%s]", i, got, want)
+				}
+				info, err := serial(i, start)
+				if err != nil {
+					t.Fatalf("stage %d serial replay: %v", i, err)
 				}
 				if got, want := st.Info.Trace.String(), info.Trace.String(); got != want {
 					t.Fatalf("stage %d: trace diverged: got [%s] want [%s]", i, got, want)
@@ -163,6 +183,16 @@ func TestTheorem13ChainGraphMatchesPerStage(t *testing.T) {
 				if st.Info.Config.String() != info.Config.String() {
 					t.Fatalf("stage %d: critical configuration diverged", i)
 				}
+				start = nextStageStart(st, tc.pr.Procs())
+			}
+			if errShared != nil {
+				_, errSerial := serial(len(shared.Stages), start)
+				if errSerial == nil || errSerial.Error() != errShared.Error() {
+					t.Fatalf("chain failed with %v, serial replay of its next stage with %v",
+						errShared, errSerial)
+				}
+			} else if !shared.Recording {
+				t.Fatalf("chain ended without error and without recording:\n%s", shared)
 			}
 		})
 	}

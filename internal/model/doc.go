@@ -57,7 +57,6 @@
 // and node counts depend only on the protocol and options, never on
 // scheduling (the liveness sweep walks nodes in discovery order, not map
 // order). Shared-graph walks are byte-identical to serial ones, and
-// shared-graph Theorem 13 chains are byte-identical to the per-stage
-// construction (ChainOpts.FreshGraphPerStage is kept as the tested
-// ablation baseline).
+// every stage of a shared-graph Theorem 13 chain is byte-identical to a
+// serial Check from that stage's start followed by FindCritical.
 package model

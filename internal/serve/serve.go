@@ -246,8 +246,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.jobsMgr.Close(ctx)
 }
 
-// FlushGraphs synchronously spills every dirty cached exploration graph
-// to the configured graph store. Call it AFTER Shutdown and the HTTP
+// FlushGraphs spills every dirty cached exploration graph to the
+// configured graph store and waits for every spill in flight, evicted
+// graphs' included (see engine.GraphCache.Flush). Call it AFTER Shutdown and the HTTP
 // drain (so no job or request is still growing a graph mid-export) and
 // before the process exits. A no-op without a graph cache or store.
 func (s *Server) FlushGraphs() error {

@@ -35,21 +35,12 @@
 //	items, gs, err := eng.CheckBatch(p, reqs) // many checks, one shared graph
 //	ch, err := eng.Theorem13(p, repro.CheckRequest{Inputs: in, CrashQuota: q})
 //
-// # Deprecated free functions
-//
-// The original flat facade (Analyze, CheckProtocol, Theorem13Chain, ...)
-// is retained as thin wrappers over a lazily constructed default engine,
-// so existing call sites keep compiling and now share that engine's
-// decision cache. New code should construct its own Engine; the wrappers
-// are documented as deprecated and will not grow new features.
-//
 // The sub-packages under internal/ carry the full API surface and
 // documentation.
 package repro
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -58,6 +49,7 @@ import (
 	"repro/internal/graphstore"
 	"repro/internal/model"
 	"repro/internal/record"
+	"repro/internal/registry"
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/types"
@@ -263,75 +255,24 @@ const DefaultShardThreshold = engine.DefaultShardThreshold
 
 // Resolve parses a registry descriptor ("tas", "tnn:5,2", "x4",
 // "product:tas,register:2", ...) into a type; unknown names error with
-// the list of valid descriptors. It is the default engine's Resolve.
-func Resolve(desc string) (*Type, error) { return Default().Resolve(desc) }
+// the list of valid descriptors. It is what Engine.Resolve does, without
+// an engine.
+func Resolve(desc string) (*Type, error) { return registry.Parse(desc) }
 
 // ResolveProtocol parses a protocol registry descriptor ("tnn-wf:3,2",
 // "tnn-rec:3,2", "cas-wf:2", "cas-rec:3", "tas-reg") into a
 // model-checkable consensus protocol for Engine.Check, Engine.CheckBatch
-// and Engine.Theorem13. It is the default engine's ResolveProtocol.
-func ResolveProtocol(desc string) (Protocol, error) { return Default().ResolveProtocol(desc) }
-
-// defaultEngine backs the deprecated free functions, so legacy call
-// sites transparently share one decision cache.
-var (
-	defaultEngine     *Engine
-	defaultEngineOnce sync.Once
-)
-
-// Default returns the process-wide engine behind the deprecated free
-// functions: background context, per-CPU parallelism, one shared cache.
-func Default() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = engine.New() })
-	return defaultEngine
-}
+// and Engine.Theorem13. It is what Engine.ResolveProtocol does, without
+// an engine.
+func ResolveProtocol(desc string) (Protocol, error) { return registry.ParseProtocol(desc) }
 
 // NewType returns a builder for a custom type.
 func NewType(name string) *TypeBuilder { return spec.NewBuilder(name) }
-
-// Analyze computes the discerning/recording spectrum of t for process
-// counts 2..maxN and derives its consensus and recoverable consensus
-// numbers (exact for readable types).
-//
-// Deprecated: use New and Engine.Analyze (or Engine.AnalyzeTo for an
-// explicit limit); this wrapper runs on the shared Default engine.
-func Analyze(t *Type, maxN int) (*Analysis, error) { return Default().AnalyzeTo(t, maxN) }
-
-// IsNDiscerning decides Ruppert's n-discerning property (n >= 2).
-//
-// Deprecated: use Engine.Analyze, whose per-level results are memoized;
-// this wrapper calls the decider directly and caches nothing.
-func IsNDiscerning(t *Type, n int) (bool, *DiscernWitness) { return discern.IsNDiscerning(t, n) }
-
-// IsNRecording decides DFFR's n-recording property (n >= 2).
-//
-// Deprecated: use Engine.Analyze, whose per-level results are memoized;
-// this wrapper calls the decider directly and caches nothing.
-func IsNRecording(t *Type, n int) (bool, *RecordWitness) { return record.IsNRecording(t, n) }
-
-// CheckProtocol model-checks a consensus protocol under per-process crash
-// quotas (see model.CheckOpts for details).
-//
-// Deprecated: use New and Engine.Check, which add cancellation, state
-// budgets and progress reporting; this wrapper runs on the Default engine.
-func CheckProtocol(p Protocol, inputs []int, crashQuota []int) (*CheckResult, error) {
-	return Default().Check(p, CheckRequest{Inputs: inputs, CrashQuota: crashQuota})
-}
 
 // FindCritical searches a checked protocol's state space for a critical
 // execution (Lemma 6) and classifies the critical configuration per
 // Observation 11.
 func FindCritical(r *CheckResult) (*model.CriticalInfo, error) { return model.FindCritical(r) }
-
-// Theorem13Chain mechanizes the paper's main proof (Figures 1-2): it
-// iterates critical-execution search with the v-hiding and colliding
-// moves until an n-recording configuration is reached.
-//
-// Deprecated: use New and Engine.Theorem13; this wrapper runs on the
-// Default engine.
-func Theorem13Chain(p Protocol, inputs, crashQuota []int) (*model.Chain, error) {
-	return Default().Theorem13(p, CheckRequest{Inputs: inputs, CrashQuota: crashQuota})
-}
 
 // The type zoo.
 var (

@@ -10,9 +10,13 @@ import (
 // facadeProtocol returns a small recoverable protocol for facade tests.
 func facadeProtocol() Protocol { return proto.NewCASRecoverable(2) }
 
+// facadeEngine returns an engine built through the facade with a
+// private cache, so facade tests share no decisions.
+func facadeEngine() *Engine { return New(WithCache(NewCache())) }
+
 // TestFacadeAnalyze exercises the re-exported analysis path end to end.
 func TestFacadeAnalyze(t *testing.T) {
-	a, err := Analyze(TestAndSet(), 3)
+	a, err := facadeEngine().AnalyzeTo(TestAndSet(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,12 +26,21 @@ func TestFacadeAnalyze(t *testing.T) {
 	}
 }
 
-// TestFacadeDeciders exercises the re-exported deciders.
+// TestFacadeDeciders exercises the engine's level deciders.
 func TestFacadeDeciders(t *testing.T) {
-	if ok, w := IsNDiscerning(TestAndSet(), 2); !ok || w == nil {
+	eng := facadeEngine()
+	ok, w, err := eng.Discerning(TestAndSet(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || w == nil {
 		t.Error("TAS should be 2-discerning with a witness")
 	}
-	if ok, _ := IsNRecording(TestAndSet(), 2); ok {
+	ok, rw, err := eng.Recording(TestAndSet(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || rw != nil {
 		t.Error("TAS should not be 2-recording")
 	}
 }
@@ -53,7 +66,7 @@ func TestFacadeCustomType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(ft, 4)
+	a, err := facadeEngine().AnalyzeTo(ft, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +75,12 @@ func TestFacadeCustomType(t *testing.T) {
 	}
 }
 
-// TestFacadeModelChecking drives the checker and the Theorem 13 chain
-// through the facade.
+// TestFacadeModelChecking drives the checker, FindCritical and the
+// Theorem 13 chain through the facade.
 func TestFacadeModelChecking(t *testing.T) {
 	pr := facadeProtocol()
-	res, err := CheckProtocol(pr, []int{0, 1}, []int{1, 1})
+	eng := facadeEngine()
+	res, err := eng.Check(pr, CheckRequest{Inputs: []int{0, 1}, CrashQuota: []int{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +90,7 @@ func TestFacadeModelChecking(t *testing.T) {
 	if _, err := FindCritical(res); err != nil {
 		t.Fatalf("FindCritical: %v", err)
 	}
-	chain, err := Theorem13Chain(pr, []int{0, 1}, []int{0, 1})
+	chain, err := eng.Theorem13(pr, CheckRequest{Inputs: []int{0, 1}, CrashQuota: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +100,8 @@ func TestFacadeModelChecking(t *testing.T) {
 }
 
 // TestFacadeEngine drives the option-driven Engine API end to end
-// through the public facade: options, Resolve, Analyze vs the deprecated
-// serial wrapper, Check and Theorem13.
+// through the public facade: options, Resolve, a parallel Analyze vs a
+// serial one (parallelism 1, its own cache), Check and Theorem13.
 func TestFacadeEngine(t *testing.T) {
 	var events []Event
 	eng := New(
@@ -104,13 +118,13 @@ func TestFacadeEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Analyze(Tnn(4, 2), 4) // deprecated serial path
+	want, err := New(WithParallelism(1), WithCache(NewCache())).AnalyzeTo(Tnn(4, 2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ConsensusNumber != want.ConsensusNumber ||
 		got.RecoverableConsensusNumber != want.RecoverableConsensusNumber {
-		t.Errorf("engine cons/rcons = %d/%d, serial facade %d/%d",
+		t.Errorf("engine cons/rcons = %d/%d, serial engine %d/%d",
 			got.ConsensusNumber, got.RecoverableConsensusNumber,
 			want.ConsensusNumber, want.RecoverableConsensusNumber)
 	}
