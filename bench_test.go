@@ -364,8 +364,8 @@ func BenchmarkShardedLevelCheck(b *testing.B) {
 // isolation: one model.Graph is built and fully expanded by a priming
 // Check, then every iteration re-walks the interned graph. No engine,
 // cache, or event layer — allocs/op here is the floor the interning
-// dictionary, open-addressed walk overlay, and pooled frontiers buy on
-// the hot path (only the per-call Result and its arenas remain).
+// dictionary, open-addressed walk index and compact walk records buy on
+// the hot path (only the per-call Result, its records and index remain).
 func BenchmarkGraphInternWarm(b *testing.B) {
 	pr := proto.NewCASWaitFree(2)
 	inputs := []int{0, 1}
@@ -386,6 +386,60 @@ func BenchmarkGraphInternWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphCheckQuota is the warm-walk rung of the graph ladder:
+// cas-rec:3, 4 and 5, each walked crash-free and with quota 1 on every
+// process but p0, over a graph a priming Check has fully expanded. No
+// node is expanded inside the loop, so the figures are the walk alone:
+// B/node and allocs/node are its record, index and usage-table cost per
+// (graph node, crash-usage) pair it visits.
+func BenchmarkGraphCheckQuota(b *testing.B) {
+	for _, procs := range []int{3, 4, 5} {
+		pr := proto.NewCASRecoverable(procs)
+		inputs := make([]int, procs)
+		quota := make([]int, procs)
+		for p := range inputs {
+			inputs[p] = p % 2
+			if p > 0 {
+				quota[p] = 1
+			}
+		}
+		for _, c := range []struct {
+			name  string
+			quota []int
+		}{{"crash-free", nil}, {"quota", quota}} {
+			b.Run(fmt.Sprintf("cas-rec:%d/%s", procs, c.name), func(b *testing.B) {
+				g, err := model.NewGraph(pr, inputs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts := model.CheckOpts{Inputs: inputs, CrashQuota: c.quota}
+				res, err := g.Check(opts) // prime: expand every node the walk reaches
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.OK() {
+					b.Fatalf("%s: %v", pr.Name(), res.Violations)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if res, err = g.Check(opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				walked := float64(res.Nodes) * float64(b.N)
+				b.ReportMetric(float64(res.Nodes), "nodes")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/walked, "B/node")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/walked, "allocs/node")
+			})
+		}
+	}
+}
+
 // BenchmarkGraphCacheCheckBatch measures the engine-resident graph
 // cache: one batch of mixed-quota check requests against one protocol,
 // cold (a fresh engine per iteration: every graph is built and expanded
@@ -393,7 +447,7 @@ func BenchmarkGraphInternWarm(b *testing.B) {
 // iteration every walk runs over a fully expanded cached graph and
 // expands nothing). The warm/cold ratio is the cross-call amortization
 // the cache buys; allocs/op on the warm path is the hot-walk allocation
-// figure the 128-bit fingerprint index and pooled frontiers target.
+// figure the packed-word intern index and compact walk records target.
 func BenchmarkGraphCacheCheckBatch(b *testing.B) {
 	// Four distinct input vectors on the 5-process wait-free protocol:
 	// each is its own graph, so a cold batch pays four full state-space

@@ -32,7 +32,9 @@ const BitsetMaxN = 16
 //     read).
 //   - desc[set][v] is the packed bitset of final values reachable from
 //     v by appending any ordering of any subset of the processes not in
-//     `set`, built by one backward sweep in descending mask order.
+//     `set`, built by one backward sweep in descending mask order. It
+//     does not depend on u, so a discerning check builds it once per
+//     assignment; a recording check, which reads only reach, never does.
 //
 // A schedule observation "process j saw response r and the object ended
 // at value v" then decomposes as prefix-set + j + suffix: for every set
@@ -109,7 +111,8 @@ type bitsetScratch struct {
 	// ending at value v (or-accumulated; zeroed per initial value).
 	reach []uint32
 	// desc[(set*V+v)*W .. +W]: bitset of final values reachable from v
-	// past set (fully overwritten each sweep, no zeroing needed).
+	// past set (fully overwritten by each backward sweep, no zeroing
+	// needed).
 	desc []uint64
 	// obs[(j*R+r)*V+v]: first-mover masks per observation (discerning).
 	obs []uint32
@@ -158,9 +161,9 @@ func newBitsetLevel(t *spec.FiniteType, n int) (*bitsetLevel, error) {
 // words is the per-cell word count of the final-value bitsets.
 func (l *bitsetLevel) words() int { return (l.V + 63) / 64 }
 
-// sweep fills s.reach and s.desc for one (assignment, initial value).
-func (l *bitsetLevel) sweep(s *bitsetScratch, ops []spec.Op, u spec.Value) {
-	n, V, O, W := l.n, l.V, l.O, l.words()
+// forward fills s.reach for one (assignment, initial value).
+func (l *bitsetLevel) forward(s *bitsetScratch, ops []spec.Op, u spec.Value) {
+	n, V, O := l.n, l.V, l.O
 	full := 1<<n - 1
 	clear(s.reach[:(full+1)*V])
 
@@ -187,10 +190,17 @@ func (l *bitsetLevel) sweep(s *bitsetScratch, ops []spec.Op, u spec.Value) {
 			}
 		}
 	}
+}
 
-	// Backward: desc[full][v] = {v}; below, union over one-step
-	// extensions. Descending mask order makes every desc[set|p]
-	// complete before desc[set] reads it. Cells are fully overwritten.
+// backward fills s.desc for one assignment. desc does not depend on the
+// initial value, so a discerning check builds it once per assignment;
+// a recording check never reads it.
+func (l *bitsetLevel) backward(s *bitsetScratch, ops []spec.Op) {
+	n, V, O, W := l.n, l.V, l.O, l.words()
+	full := 1<<n - 1
+	// desc[full][v] = {v}; below, union over one-step extensions.
+	// Descending mask order makes every desc[set|p] complete before
+	// desc[set] reads it. Cells are fully overwritten.
 	for set := full; set >= 0; set-- {
 		rest := full &^ set
 		for v := 0; v < V; v++ {
@@ -237,8 +247,9 @@ func (l *bitsetLevel) checkDiscern(ops []spec.Op) *discern.Witness {
 	defer l.pool.Put(s)
 	n, V := l.n, l.V
 	full := 1<<n - 1
+	l.backward(s, ops)
 	for u := 0; u < V; u++ {
-		l.sweep(s, ops, spec.Value(u))
+		l.forward(s, ops, spec.Value(u))
 		clear(s.obs)
 		for j := 0; j < n; j++ {
 			// j first: empty prefix at value u, first mover j itself.
@@ -278,7 +289,7 @@ func (l *bitsetLevel) checkRecord(ops []spec.Op) *record.Witness {
 	n, V := l.n, l.V
 	full := 1<<n - 1
 	for u := 0; u < V; u++ {
-		l.sweep(s, ops, spec.Value(u))
+		l.forward(s, ops, spec.Value(u))
 		clear(s.finalMask)
 		for set := 1; set <= full; set++ {
 			row := s.reach[set*V : (set+1)*V]

@@ -12,7 +12,8 @@
 //   - "bitset" is a semi-symbolic decider that encodes schedule
 //     configurations and output histories as packed fixed-width words:
 //     per assignment it sweeps subset-indexed frontier arrays (a forward
-//     first-mover sweep and a backward descendant-final-value sweep)
+//     first-mover sweep per initial value and, for discerning only, one
+//     backward descendant-final-value sweep)
 //     instead of recursing over individual schedules, so observation
 //     sets for all 2^n schedule prefixes are computed set-at-a-time.
 //   - "auto" dispatches per call on n alone: "bitset" when

@@ -620,13 +620,18 @@ func (e *Engine) Theorem13(p model.Protocol, req CheckRequest) (*model.Chain, er
 	}
 	before := g.Stats()
 	walkStart := time.Now()
+	stageStart := walkStart
 	chain, err := model.Theorem13ChainOpts(p, req.Inputs, req.CrashQuota, model.ChainOpts{
 		Ctx:      ctx,
 		MaxNodes: e.maxNodes(req),
 		Graph:    g,
+		// Each stage's Elapsed is the time since the previous stage (or
+		// the chain's first walk): that stage's walk and critical search.
 		OnStage: func(stage int, info *model.CriticalInfo) {
+			now := time.Now()
 			e.emit(Event{Kind: "chain.stage", Type: p.Name(), N: stage,
-				Detail: info.Class})
+				Elapsed: now.Sub(stageStart), Detail: info.Class})
+			stageStart = now
 		},
 	})
 	if err != nil {

@@ -395,9 +395,15 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
-// TestCheckAndTheorem13 drives the model checker through the engine.
+// TestCheckAndTheorem13 drives the model checker through the engine,
+// and checks that every chain.stage event carries its stage's time.
 func TestCheckAndTheorem13(t *testing.T) {
-	eng := New()
+	var stages []Event
+	eng := New(WithProgress(func(ev Event) {
+		if ev.Kind == "chain.stage" {
+			stages = append(stages, ev)
+		}
+	}))
 	pr := proto.NewCASRecoverable(2)
 	res, err := eng.Check(pr, CheckRequest{Inputs: []int{0, 1}, CrashQuota: []int{1, 1}})
 	if err != nil {
@@ -412,6 +418,14 @@ func TestCheckAndTheorem13(t *testing.T) {
 	}
 	if !chain.Recording {
 		t.Error("chain should reach an n-recording configuration")
+	}
+	if len(stages) != len(chain.Stages) {
+		t.Fatalf("%d chain.stage events for %d stages", len(stages), len(chain.Stages))
+	}
+	for _, ev := range stages {
+		if ev.Elapsed <= 0 {
+			t.Errorf("chain.stage %d: Elapsed = %v, want > 0", ev.N, ev.Elapsed)
+		}
 	}
 }
 

@@ -27,14 +27,31 @@
 // copy-on-write under the graph lock. Crash usage is deliberately NOT
 // part of node identity (transitions do not depend on it); each walk
 // overlays its own (node, crash-usage) bookkeeping in a per-walk
-// open-addressed table probed on the node's precomputed hash,
-// reproducing the serial checker's (configuration, crash-usage,
-// output-history) dedup exactly. Check builds a one-shot Graph; batch
-// callers (engine.CheckBatch) walk one Graph per input vector,
-// long-lived callers (the engine's graph cache) keep Graphs warm
-// across calls, and Theorem13ChainOpts walks every chain stage over
-// one Graph — all share every transition, output-merge and packing
-// computation.
+// open-addressed table probed on the node's precomputed hash mixed
+// with an interned crash-usage id, reproducing the serial checker's
+// (configuration, crash-usage, output-history) dedup exactly.
+//
+// Check builds a one-shot Graph; batch callers (engine.CheckBatch)
+// walk one Graph per input vector, long-lived callers (the engine's
+// graph cache) keep Graphs warm across calls, and Theorem13ChainOpts
+// walks every chain stage over one Graph — all share every transition,
+// output-merge and packing computation.
+//
+// # Walk records
+//
+// A walk stores one compact 24-byte record per (graph node,
+// crash-usage) pair it reaches: a handle on the graph node, the usage
+// id, the index of the record it was discovered from and the packed
+// event taken. Configurations, output histories, decision vectors and
+// successor lists are read through the graph node, never copied.
+// Usage vectors are interned once per walk (id 0 is the all-zero
+// vector, so a crash-free walk has exactly one), with the id after one
+// more crash of p memoized, so usage comparisons are integer compares.
+// The records form one slice in BFS discovery order that is also the
+// walk's queue; liveness, valency and critical search recompute a
+// record's step and crash children from its graph node plus a probe of
+// the walk index rather than storing them. The *node handles Node and
+// InitNode return point into that slice.
 //
 // # Concurrency and ownership
 //
@@ -44,12 +61,13 @@
 // dictionary's extension path are guarded by the graph mutex (the
 // dictionary itself is read lock-free through an atomic pointer);
 // per-node expansion runs under a per-node once. A Result is owned by
-// the caller that obtained it and is not safe for concurrent mutation;
-// its lazily computed valency map means even read-style methods
-// (Valence, FindCritical) must not race. Walk-internal scratch
-// (frontier queues, expansion buffers, liveness sweep state) is pooled
-// per graph and never escapes into Results; the walk's visited overlay
-// and node arenas live in the Result and die with it.
+// the caller that obtained it and is not safe for concurrent use: its
+// lazily computed valencies and lazily interned usage vectors mean even
+// read-style methods (Node, Valence, FindCritical, ReachableDecisions)
+// must not race. Walk-internal scratch (expansion buffers, liveness
+// sweep state) is pooled per graph and never escapes into Results; the
+// walk records, their index and the usage table live in the Result and
+// die with it.
 //
 // # Byte-stability guarantees
 //

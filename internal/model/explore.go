@@ -3,6 +3,7 @@ package model
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/schedule"
 )
@@ -71,78 +72,161 @@ type Result struct {
 	// Truncated reports whether exploration hit MaxNodes.
 	Truncated bool
 
-	// nodes indexes this walk's nodes by their canonical graph node; the
-	// small per-bucket entries are told apart by crash-usage vector, so
-	// the walk's dedup identity is exactly the serial checker's
-	// (configuration, crash-usage, output-history) triple. The first
-	// entry per canonical node is inlined: crash-free walks (one usage
-	// vector per node) never allocate a bucket slice.
-	nodes walkIndex
-	count int
-	// order lists the nodes in BFS discovery order (init first), making
-	// post-exploration passes — in particular the liveness DFS sweep —
-	// deterministic instead of map-ordered.
-	order []*node
-	init  *node
-	// arena batch-allocates walk nodes and usedArena their crash-usage
-	// vectors (they live and die with the Result, so chunked allocation
-	// is safe and cheap). arenaHint shrinks the FIRST chunk below the
-	// 512-node default when the graph is small (its canonical node
-	// count), so a tiny walk over a tiny graph does not allocate a
-	// 512-node block; larger walks use default-size chunks — a budgeted
-	// or quota-restricted walk may visit only a slice of a big cached
-	// graph, so the hint is a cap on waste, not a preallocation target.
-	arena     []node
-	arenaHint int
-	usedArena []int
-	valences  map[*node]int
+	// nodes holds the walk records in BFS discovery order, the root
+	// first. It is also the BFS queue: the walk expands nodes[walked]
+	// and appends the children it discovers, so no separate frontier
+	// exists. Records refer to each other by index, never by pointer.
+	nodes []node
+	// walked counts the leading records whose successors the walk
+	// enumerated: all of them unless MaxNodes truncated the walk.
+	walked int
+	// index is the walk's dedup table over (graph node, crash-usage id)
+	// pairs — exactly the serial checker's (configuration, crash-usage,
+	// output-history) identity, since a graph node is a (configuration,
+	// output-history) pair.
+	index walkIndex
+	usage usageTable
+	// valences caches valency(), one decision-reachability mask per
+	// record.
+	valences []uint8
 }
 
 // OK reports whether the exploration completed without violations.
 func (r *Result) OK() bool { return len(r.Violations) == 0 && !r.Truncated }
 
+// node is one walk record: a (graph node, crash-usage) pair the walk
+// reached, plus how it was first reached. Everything else — the
+// configuration, the output history, the decision vector and the
+// successors — lives on the shared graph node and is read through gn.
 type node struct {
-	cfg  Config
-	used []int // crashes used per process
-	// outs[p] is the first value process p ever output along this path
-	// (-1 if none). Outputs survive crashes in the paper's model: a
-	// process that decided, crashed and re-decided differently violates
-	// agreement even though its local decided state was erased.
-	outs   []int8
-	parent *node
-	via    schedule.Event
-	// ord is the node's BFS discovery index (position in Result.order),
-	// letting post-exploration sweeps keep per-node state in flat
-	// ord-indexed slices instead of maps.
-	ord int32
-	// succ caches step successors (crash successors are recomputed).
-	succ []*node
-	// gn is the node's canonical twin in the shared exploration graph
-	// the walk ran on (see Graph); it carries the precomputed decision
-	// vector, packed-identity hash, and successor set.
 	gn *gnode
+	// parent is the index of the record the walk discovered this one
+	// from (-1 for the root), and via the event it took.
+	parent int32
+	used   uint32 // interned crash-usage id (see usageTable)
+	via    event
 }
 
-// wentry is one walk-index slot: a canonical graph node and its walk
-// twins. The common case of a single crash-usage vector stays inline in
-// first; further vectors overflow into rest.
-type wentry struct {
-	gn    *gnode
-	first *node
-	rest  []*node
+// event is a schedule.Event packed into one word: the process index
+// shifted left once, with the low bit set for a crash.
+type event int32
+
+func stepEvent(p int) event  { return event(p << 1) }
+func crashEvent(p int) event { return event(p<<1 | 1) }
+
+func (e event) unpack() schedule.Event {
+	return schedule.Event{P: int(e >> 1), Crash: e&1 == 1}
+}
+
+// usageTable interns one walk's crash-usage vectors (crashes used per
+// process) as dense ids. Id 0 is the all-zero vector every walk starts
+// from, so a crash-free walk never touches the table; every other
+// vector is reached by one more crash of some process, and next
+// memoizes that step, so the walk compares usage by id and pays for a
+// vector only the first time it reaches one.
+type usageTable struct {
+	n int
+	// vecs[id*n+p] is process p's crash count under usage id (vecs is
+	// empty until the first crash: id 0 is implicit).
+	vecs []int
+	// next[id*n+p] is 1 + the id of vector id with p's count plus one,
+	// or 0 while that step is not yet known.
+	next []uint32
+	// ids is an open-addressed table of the nonzero vectors' ids, stored
+	// plus one so the zero slot is empty, probed by usageHash (linear
+	// probing, power-of-two capacity, grown at 3/4 load).
+	ids  []uint32
+	live int
+}
+
+// count returns process p's crash count under usage id.
+func (u *usageTable) count(id uint32, p int) int {
+	if id == 0 {
+		return 0
+	}
+	return u.vecs[int(id)*u.n+p]
+}
+
+func (u *usageTable) vec(id uint32) []int {
+	return u.vecs[int(id)*u.n : int(id+1)*u.n]
+}
+
+// plus returns the id of usage id with one more crash of p, interning
+// the vector if it is new.
+func (u *usageTable) plus(id uint32, p int) uint32 {
+	k := int(id)*u.n + p
+	if k < len(u.next) && u.next[k] != 0 {
+		return u.next[k] - 1
+	}
+	if len(u.vecs) == 0 {
+		// Room for the root and seven more vectors before any growth.
+		u.vecs = make([]int, u.n, 8*u.n)
+		u.next = make([]uint32, u.n, 8*u.n)
+		u.ids = make([]uint32, 16)
+	}
+	nid := uint32(len(u.vecs) / u.n)
+	u.vecs = append(u.vecs, u.vec(id)...)
+	u.vecs[len(u.vecs)-u.n+p]++
+	i := u.slot(u.vec(nid))
+	if j := u.ids[i]; j != 0 {
+		u.vecs = u.vecs[:len(u.vecs)-u.n]
+		nid = j - 1
+	} else {
+		u.ids[i] = nid + 1
+		u.next = append(u.next, make([]uint32, u.n)...)
+		if u.live++; u.live*4 >= len(u.ids)*3 {
+			u.grow()
+		}
+	}
+	u.next[k] = nid + 1
+	return nid
+}
+
+func usageHash(v []int) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, c := range v {
+		h = (h ^ uint64(c)) * 0x100000001b3
+	}
+	return h
+}
+
+// slot returns the table position holding the id of vector v, or the
+// empty position where it would be inserted.
+func (u *usageTable) slot(v []int) uint64 {
+	mask := uint64(len(u.ids) - 1)
+	for i := usageHash(v) & mask; ; i = (i + 1) & mask {
+		j := u.ids[i]
+		if j == 0 || slices.Equal(u.vec(j-1), v) {
+			return i
+		}
+	}
+}
+
+func (u *usageTable) grow() {
+	old := u.ids
+	u.ids = make([]uint32, 2*len(old))
+	for _, j := range old {
+		if j != 0 {
+			u.ids[u.slot(u.vec(j-1))] = j
+		}
+	}
 }
 
 // walkIndex is the per-walk dedup index: an open-addressed table from
-// canonical graph node to this walk's (node, crash-usage) twins. It
-// probes with the gnode's precomputed packed-identity hash (linear
-// probing, power-of-two capacity, grown at 3/4 load) and compares slot
-// identity by gnode pointer, so a walk lookup is a few pointer probes
-// with no hashing work at all. The table lives and dies with its Result
-// (post-exploration analyses keep using it), so unlike the frontier and
-// sweep scratch it is not pooled.
+// (graph node, crash-usage id) to the walk record's position in
+// Result.nodes, stored plus one so the zero slot is empty. It probes
+// with the gnode's precomputed packed-identity hash mixed with the
+// usage id (linear probing, power-of-two capacity, grown at 3/4 load)
+// and confirms a hit by comparing the record's gnode pointer and usage
+// id, so a probe does no hashing work. The table lives and dies with its
+// Result (post-exploration analyses keep using it).
 type walkIndex struct {
-	tab  []wentry
+	tab  []int32
 	live int
+}
+
+func walkHash(gn *gnode, used uint32) uint64 {
+	return gn.hash ^ uint64(used)*0x9e3779b97f4a7c15
 }
 
 // init sizes the table so hint entries fit under 3/4 load.
@@ -151,152 +235,83 @@ func (w *walkIndex) init(hint int) {
 	for capacity*3 < hint*4 {
 		capacity <<= 1
 	}
-	w.tab = make([]wentry, capacity)
+	w.tab = make([]int32, capacity)
 	w.live = 0
 }
 
-// slot returns the entry for gn, or the empty slot where it would be
-// inserted.
-func (w *walkIndex) slot(gn *gnode) *wentry {
-	mask := uint64(len(w.tab) - 1)
-	for i := gn.hash & mask; ; i = (i + 1) & mask {
-		e := &w.tab[i]
-		if e.gn == gn || e.gn == nil {
-			return e
+// slot returns the table position holding the record for (gn, used), or
+// the empty position where it would be inserted.
+func (r *Result) slot(gn *gnode, used uint32) uint64 {
+	tab := r.index.tab
+	mask := uint64(len(tab) - 1)
+	for i := walkHash(gn, used) & mask; ; i = (i + 1) & mask {
+		j := tab[i]
+		if j == 0 {
+			return i
+		}
+		if nd := &r.nodes[j-1]; nd.gn == gn && nd.used == used {
+			return i
 		}
 	}
 }
 
-func (w *walkIndex) grow() {
-	old := w.tab
-	next := make([]wentry, len(old)*2)
+// lookup returns the index of this walk's record for (gn, used), or -1.
+// A nil gn (a schedule that leaves the explored graph) finds nothing.
+func (r *Result) lookup(gn *gnode, used uint32) int32 {
+	if gn == nil {
+		return -1
+	}
+	return r.index.tab[r.slot(gn, used)] - 1
+}
+
+// visit returns the index of the record for (gn, used) and whether the
+// walk just reached it; a new record is appended with the parent and
+// event it was discovered by.
+func (r *Result) visit(gn *gnode, used uint32, parent int32, via event) (int32, bool) {
+	w := &r.index
+	i := r.slot(gn, used)
+	if j := w.tab[i]; j != 0 {
+		return j - 1, false
+	}
+	idx := int32(len(r.nodes))
+	if len(r.nodes) == cap(r.nodes) {
+		// Double rather than take append's ~1.25x growth for large
+		// slices: a quota'd walk can outgrow the graph-count hint
+		// several times over, and each growth copies every record.
+		r.nodes = append(make([]node, 0, 2*cap(r.nodes)), r.nodes...)
+	}
+	r.nodes = append(r.nodes, node{gn: gn, parent: parent, used: used, via: via})
+	w.tab[i] = idx + 1
+	if w.live++; w.live*4 >= len(w.tab)*3 {
+		r.growIndex()
+	}
+	return idx, true
+}
+
+func (r *Result) growIndex() {
+	next := make([]int32, len(r.index.tab)*2)
 	mask := uint64(len(next) - 1)
-	for i := range old {
-		e := &old[i]
-		if e.gn == nil {
+	for _, j := range r.index.tab {
+		if j == 0 {
 			continue
 		}
-		j := e.gn.hash & mask
-		for next[j].gn != nil {
-			j = (j + 1) & mask
+		nd := &r.nodes[j-1]
+		i := walkHash(nd.gn, nd.used) & mask
+		for next[i] != 0 {
+			i = (i + 1) & mask
 		}
-		next[j] = *e
+		next[i] = j
 	}
-	w.tab = next
+	r.index.tab = next
 }
 
-// add registers nd in the walk's dedup index and discovery order.
-func (r *Result) add(nd *node) {
-	w := &r.nodes
-	e := w.slot(nd.gn)
-	if e.gn == nil {
-		if (w.live+1)*4 >= len(w.tab)*3 {
-			w.grow()
-			e = w.slot(nd.gn)
-		}
-		e.gn = nd.gn
-		e.first = nd
-		w.live++
-	} else {
-		e.rest = append(e.rest, nd)
+// indexOf returns the position of a record handed out by Node or
+// InitNode, or -1 for nil or a record this walk does not contain.
+func (r *Result) indexOf(nd *node) int32 {
+	if nd == nil {
+		return -1
 	}
-	nd.ord = int32(r.count)
-	r.order = append(r.order, nd)
-	r.count++
-}
-
-// lookup finds this walk's node for (gn, used), or nil. A nil gn (a
-// schedule that leaves the explored graph) finds nothing.
-func (r *Result) lookup(gn *gnode, used []int) *node {
-	if gn == nil {
-		return nil
-	}
-	e := r.nodes.slot(gn)
-	if e.gn == nil {
-		return nil
-	}
-	if eqUsed(e.first.used, used) {
-		return e.first
-	}
-	for _, nd := range e.rest {
-		if eqUsed(nd.used, used) {
-			return nd
-		}
-	}
-	return nil
-}
-
-// lookupPlus finds this walk's node for (gn, base with base[p]+1) without
-// materializing the incremented usage vector.
-func (r *Result) lookupPlus(gn *gnode, base []int, p int) *node {
-	if gn == nil {
-		return nil
-	}
-	e := r.nodes.slot(gn)
-	if e.gn == nil {
-		return nil
-	}
-	if eqUsedPlus(e.first.used, base, p) {
-		return e.first
-	}
-	for _, nd := range e.rest {
-		if eqUsedPlus(nd.used, base, p) {
-			return nd
-		}
-	}
-	return nil
-}
-
-// newNode hands out the next arena slot. The first chunk is
-// min(arenaHint, 512) — see arenaHint — and later chunks the default.
-func (r *Result) newNode() *node {
-	if len(r.arena) == 0 {
-		size := 512
-		if r.arenaHint > 0 {
-			if r.arenaHint < size {
-				size = r.arenaHint
-			}
-			r.arenaHint = 0
-		}
-		r.arena = make([]node, size)
-	}
-	nd := &r.arena[0]
-	r.arena = r.arena[1:]
-	return nd
-}
-
-// newUsed hands out an n-length crash-usage vector from the arena (full
-// capacity slice, so an append could never bleed into a neighbor).
-func (r *Result) newUsed(n int) []int {
-	if len(r.usedArena) < n {
-		r.usedArena = make([]int, 512*n)
-	}
-	u := r.usedArena[:n:n]
-	r.usedArena = r.usedArena[n:]
-	return u
-}
-
-func eqUsed(a, b []int) bool {
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// eqUsedPlus reports a == base except a[p] == base[p]+1.
-func eqUsedPlus(a, base []int, p int) bool {
-	for i, v := range a {
-		want := base[i]
-		if i == p {
-			want++
-		}
-		if v != want {
-			return false
-		}
-	}
-	return true
+	return r.lookup(nd.gn, nd.used)
 }
 
 // freshOuts returns an all-undecided output vector.
@@ -327,15 +342,15 @@ func mergeOuts(pr Protocol, cfg Config, outs []int8) []int8 {
 	return copied
 }
 
-// trace reconstructs the schedule from the initial node.
-func (n *node) trace() schedule.Schedule {
-	var rev []schedule.Event
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		rev = append(rev, cur.via)
+// trace reconstructs the schedule from the initial node to record i.
+func (r *Result) trace(i int32) schedule.Schedule {
+	var rev []event
+	for ; r.nodes[i].parent >= 0; i = r.nodes[i].parent {
+		rev = append(rev, r.nodes[i].via)
 	}
 	out := make(schedule.Schedule, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	for k := range rev {
+		out[k] = rev[len(rev)-1-k].unpack()
 	}
 	return out
 }
@@ -390,61 +405,62 @@ func (w *walkState) valid(d int) bool {
 
 var kindNames = [3]string{"agreement", "validity", "wait-freedom"}
 
-func (w *walkState) report(kind int, nd *node, detail string) {
+func (w *walkState) report(kind int, i int32, detail string) {
 	if w.seen[kind] {
 		return
 	}
 	w.seen[kind] = true
 	w.r.Violations = append(w.r.Violations, &Violation{
-		Kind: kindNames[kind], Trace: nd.trace(), Config: nd.cfg, Detail: detail,
+		Kind: kindNames[kind], Trace: w.r.trace(i), Config: w.r.nodes[i].gn.cfg, Detail: detail,
 	})
 }
 
 // checkSafety verifies agreement and validity over the path's output
-// history (parentOuts) extended by the decisions visible in nd's
-// configuration, read from the node's precomputed decision vector.
+// history (parentOuts) extended by the decisions visible in record i's
+// configuration, read from the graph node's precomputed decision vector.
 // Outputs persist across crashes: a process that decided, crashed and
 // re-decided a different value is an agreement violation with its own
 // earlier output.
-func (w *walkState) checkSafety(nd *node, parentOuts []int8) {
+func (w *walkState) checkSafety(i int32, parentOuts []int8) {
+	gn := w.r.nodes[i].gn
 	n := len(parentOuts)
 	for p := 0; p < n; p++ {
-		if v := nd.gn.decided[p]; v >= 0 {
+		if v := gn.decided[p]; v >= 0 {
 			if prev := parentOuts[p]; prev >= 0 && prev != v {
-				w.report(kindAgreement, nd, fmt.Sprintf(
+				w.report(kindAgreement, i, fmt.Sprintf(
 					"p%d output %d, crashed, and re-decided %d", p, prev, v))
 			}
 		}
 	}
 	first, firstP := -1, -1
 	for p := 0; p < n; p++ {
-		v := nd.outs[p]
+		v := gn.outs[p]
 		if v < 0 {
 			continue
 		}
 		if !w.valid(int(v)) {
-			w.report(kindValidity, nd, fmt.Sprintf(
+			w.report(kindValidity, i, fmt.Sprintf(
 				"p%d decided %d, not an input of any process", p, v))
 		}
 		if first == -1 {
 			first, firstP = int(v), p
 		} else if int(v) != first {
-			w.report(kindAgreement, nd, fmt.Sprintf(
+			w.report(kindAgreement, i, fmt.Sprintf(
 				"p%d decided %d but p%d decided %d", firstP, first, p, v))
 		}
 	}
 }
 
-// sweepFrame is one liveness-DFS stack frame.
+// sweepFrame is one liveness-DFS stack frame: a record and the position
+// of the next step successor to visit.
 type sweepFrame struct {
-	nd  *node
-	idx int
+	nd, idx int32
 }
 
-// sweepScratch is the pooled liveness-DFS working set: per-node colors
-// (indexed by node.ord) and the explicit DFS stack. Pooled on the graph
-// (Graph.postSweep) because, unlike the Result, it dies with the Check
-// call.
+// sweepScratch is the pooled liveness-DFS working set: per-record colors
+// (indexed by position in Result.nodes) and the explicit DFS stack.
+// Pooled on the graph (Graph.postSweep) because, unlike the Result, it
+// dies with the Check call.
 type sweepScratch struct {
 	color []uint8
 	stack []sweepFrame
@@ -461,59 +477,56 @@ func (g *Graph) getSweep(n int) *sweepScratch {
 		sc.color = sc.color[:n]
 		clear(sc.color)
 	}
-	return sc
-}
-
-func (g *Graph) putSweep(sc *sweepScratch) {
-	// Drop the stack's node pointers so pooling never retains a finished
-	// walk's Result.
-	clear(sc.stack[:cap(sc.stack)])
 	sc.stack = sc.stack[:0]
-	g.postSweep.Put(sc)
+	return sc
 }
 
 // checkLiveness detects recoverable wait-freedom violations: a cycle in
 // the step-successor graph means the adversary can schedule some process to
 // take infinitely many steps without crashing and without deciding (crash
-// edges strictly consume quota, so no cycle contains a crash). Start nodes
-// are swept in BFS discovery order, so the reported witness is
-// deterministic for a given exploration.
+// edges strictly consume quota, so no cycle contains a crash). A step
+// child keeps its parent's usage id, so it is found by probing the walk
+// index with the graph node's step successor. Start nodes are swept in
+// BFS discovery order, so the reported witness is deterministic for a
+// given exploration. Only a complete walk is swept: every record's step
+// children are then in the index.
 func (r *Result) checkLiveness(w *walkState) {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	sc := r.g.getSweep(r.count)
-	defer r.g.putSweep(sc)
+	sc := r.g.getSweep(len(r.nodes))
+	defer r.g.postSweep.Put(sc)
 	color := sc.color
 	// Iterative DFS to avoid deep recursion on long chains.
-	stack := sc.stack[:0]
-	for _, start := range r.order {
-		if color[start.ord] != white {
+	stack := sc.stack
+	for start := range r.nodes {
+		if color[start] != white {
 			continue
 		}
-		stack = append(stack[:0], sweepFrame{nd: start})
-		color[start.ord] = gray
+		stack = append(stack[:0], sweepFrame{nd: int32(start)})
+		color[start] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.idx < len(f.nd.succ) {
-				child := f.nd.succ[f.idx]
+			nd := &r.nodes[f.nd]
+			if int(f.idx) < len(nd.gn.stepSucc) {
+				child := r.lookup(nd.gn.stepSucc[f.idx], nd.used)
 				f.idx++
-				switch color[child.ord] {
+				switch color[child] {
 				case white:
-					color[child.ord] = gray
+					color[child] = gray
 					stack = append(stack, sweepFrame{nd: child})
 				case gray:
 					sc.stack = stack
 					w.report(kindWaitFreedom, child, fmt.Sprintf(
 						"cycle of crash-free steps through %s: some process runs forever without deciding",
-						child.cfg))
+						r.nodes[child].gn.cfg))
 					return
 				}
 				continue
 			}
-			color[f.nd.ord] = black
+			color[f.nd] = black
 			stack = stack[:len(stack)-1]
 		}
 	}
@@ -526,17 +539,24 @@ func (r *Result) checkLiveness(w *walkState) {
 // It is the engine behind valency computations.
 func (r *Result) ReachableDecisions(start *node) map[int]bool {
 	out := make(map[int]bool)
-	seen := map[*node]bool{start: true}
-	stack := []*node{start}
+	i := r.indexOf(start)
+	if i < 0 {
+		return out
+	}
+	seen := make([]bool, len(r.nodes))
+	seen[i] = true
+	stack := []int32{i}
+	var buf []int32
 	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for p := 0; p < r.pr.Procs(); p++ {
-			if v, ok := Decision(r.pr, nd.cfg, p); ok {
-				out[v] = true
+		for _, v := range r.nodes[i].gn.decided {
+			if v >= 0 {
+				out[int(v)] = true
 			}
 		}
-		for _, child := range r.allSucc(nd) {
+		buf = r.succ(buf[:0], i)
+		for _, child := range buf {
 			if !seen[child] {
 				seen[child] = true
 				stack = append(stack, child)
@@ -546,57 +566,67 @@ func (r *Result) ReachableDecisions(start *node) map[int]bool {
 	return out
 }
 
-// allSucc returns step and crash successors of nd that exist in the
-// explored graph. Visited nodes were expanded during the walk, so the
-// canonical crash successors are read lock-free off the graph node — no
-// CrashProc recomputation, no shared-graph mutex in the valency and
-// liveness sweeps. Nodes left unexpanded by a truncated walk fall back
-// to the locked lookup (FindCritical refuses truncated results anyway).
-func (r *Result) allSucc(nd *node) []*node {
-	out := append([]*node(nil), nd.succ...)
+// succ appends to dst the step and crash successors of record i that
+// exist in this walk. Both are recomputed from the graph node rather than
+// stored per record: a step child keeps i's usage id, a crash child of
+// p has the id usage.plus memoizes. Records the walk expanded have
+// expanded graph nodes, so their successors are read lock-free; a record
+// a truncated walk left unexpanded has no step successors in the walk
+// and, if no walk has expanded its graph node, finds its crash
+// successors through the locked lookup (FindCritical refuses truncated
+// results anyway).
+func (r *Result) succ(dst []int32, i int32) []int32 {
+	nd := r.nodes[i]
+	if int(i) < r.walked {
+		for _, cg := range nd.gn.stepSucc {
+			if child := r.lookup(cg, nd.used); child >= 0 {
+				dst = append(dst, child)
+			}
+		}
+	}
 	if nd.gn.done.Load() {
 		for p, cg := range nd.gn.crashSucc {
 			if cg == nil {
 				continue
 			}
-			if child := r.lookupPlus(cg, nd.used, p); child != nil {
-				out = append(out, child)
+			if child := r.lookup(cg, r.usage.plus(nd.used, p)); child >= 0 {
+				dst = append(dst, child)
 			}
 		}
-		return out
+		return dst
 	}
 	for p := 0; p < r.pr.Procs(); p++ {
-		next := CrashProc(r.pr, nd.cfg, p, r.inputs[p])
-		if child := r.lookupPlus(r.g.find(next, nd.outs), nd.used, p); child != nil {
-			out = append(out, child)
+		next := CrashProc(r.pr, nd.gn.cfg, p, r.inputs[p])
+		if child := r.lookup(r.g.find(next, nd.gn.outs), r.usage.plus(nd.used, p)); child >= 0 {
+			dst = append(dst, child)
 		}
 	}
-	return out
+	return dst
 }
 
 // Node looks up the explored node reached by a schedule from the initial
 // configuration, or nil if the schedule leaves the explored graph.
 func (r *Result) Node(sigma schedule.Schedule) *node {
 	cfg := InitialConfig(r.pr, r.inputs)
-	used := make([]int, r.pr.Procs())
+	var used uint32
 	outs := mergeOuts(r.pr, cfg, freshOuts(r.pr.Procs()))
 	for _, e := range sigma {
 		if e.Crash {
 			cfg = CrashProc(r.pr, cfg, e.P, r.inputs[e.P])
-			used2 := make([]int, len(used))
-			copy(used2, used)
-			used2[e.P]++
-			used = used2
+			used = r.usage.plus(used, e.P)
 		} else {
 			cfg = Step(r.pr, cfg, e.P)
 			outs = mergeOuts(r.pr, cfg, outs)
 		}
 	}
-	return r.lookup(r.g.find(cfg, outs), used)
+	if i := r.lookup(r.g.find(cfg, outs), used); i >= 0 {
+		return &r.nodes[i]
+	}
+	return nil
 }
 
 // InitNode returns the initial node of the exploration.
-func (r *Result) InitNode() *node { return r.init }
+func (r *Result) InitNode() *node { return &r.nodes[0] }
 
 // NodeConfig exposes a node's configuration (for tests and reports).
-func NodeConfig(nd *node) Config { return nd.cfg }
+func NodeConfig(nd *node) Config { return nd.gn.cfg }

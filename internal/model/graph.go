@@ -67,12 +67,10 @@ type Graph struct {
 	// parent history of every walk root's safety check.
 	negOuts []int8
 
-	// scratch pools per-expansion decision/output/packing buffers,
-	// frontier pools per-walk BFS queues, and postSweep pools the
-	// liveness DFS's color/stack scratch, so steady-state walks over a
-	// warm graph allocate only their own Result structures.
+	// scratch pools per-expansion decision/output/packing buffers and
+	// postSweep the liveness DFS's color/stack scratch, so steady-state
+	// walks over a warm graph allocate only their own Result structures.
 	scratch   sync.Pool
-	frontier  sync.Pool
 	postSweep sync.Pool
 
 	interned atomic.Uint64
@@ -504,25 +502,6 @@ func (g *Graph) buildRoot(startTrace schedule.Schedule) *gnode {
 	return g.intern(initCfg, initOuts, true, decisionVec(g.pr, initCfg))
 }
 
-// getFrontier returns a pooled, empty BFS queue buffer.
-func (g *Graph) getFrontier() *[]*node {
-	if v := g.frontier.Get(); v != nil {
-		return v.(*[]*node)
-	}
-	buf := make([]*node, 0, 1024)
-	return &buf
-}
-
-// putFrontier clears and returns a queue buffer to the pool. Clearing
-// drops the walk's node pointers so pooling never retains a finished
-// walk's Result.
-func (g *Graph) putFrontier(buf *[]*node) {
-	q := *buf
-	clear(q)
-	*buf = q[:0]
-	g.frontier.Put(buf)
-}
-
 // Check explores the graph under the given options and verifies
 // agreement, validity and recoverable wait-freedom, sharing every node
 // expansion with concurrent and past walks. opts.Inputs must equal the
@@ -549,21 +528,20 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		maxNodes = 2_000_000
 	}
 
-	// Pre-size the walk index from the graph's canonical node count: on a
-	// warm graph it is the exact bucket bound, on a cold one a harmless
-	// underestimate.
+	// Pre-size the walk records and index from the graph's canonical
+	// node count: on a warm graph it covers a crash-free walk, on a cold
+	// one it is a harmless underestimate, and a quota'd walk that
+	// outgrows it doubles (see visit).
 	hint := int(g.interned.Load())
 	if hint > maxNodes {
 		hint = maxNodes
 	}
-	r := &Result{pr: g.pr, g: g, inputs: opts.Inputs, arenaHint: hint + 1}
-	r.nodes.init(hint + 1)
-	r.order = make([]*node, 0, hint+1)
+	r := &Result{pr: g.pr, g: g, inputs: opts.Inputs}
+	r.nodes = make([]node, 0, hint+1)
+	r.index.init(hint + 1)
+	r.usage.n = n
 	w := walkState{r: r, validity: opts.Validity, inputs: opts.Inputs}
-	rootG := g.root(opts.StartTrace)
-	r.init = r.newNode()
-	*r.init = node{cfg: rootG.cfg, used: r.newUsed(n), outs: rootG.outs, gn: rootG}
-	r.add(r.init)
+	r.visit(g.root(opts.StartTrace), 0, -1, 0)
 
 	var done <-chan struct{}
 	if opts.Ctx != nil {
@@ -573,77 +551,52 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		done = opts.Ctx.Done()
 	}
 
-	// BFS over (configuration, crash-usage, output-history) walk nodes,
-	// each backed by its canonical (configuration, output-history) graph
-	// node plus this walk's crash-usage vector. The loop mirrors the
-	// original serial exploration exactly; only the successor
-	// computations are delegated to the shared graph. The queue buffer is
-	// pooled; popping advances a head index so the backing array is
-	// reused instead of reallocated walk after walk.
-	fbuf := g.getFrontier()
-	queue := (*fbuf)[:0]
-	defer func() { *fbuf = queue; g.putFrontier(fbuf) }()
-	queue = append(queue, r.init)
-	head := 0
-	w.checkSafety(r.init, g.negOuts)
-	visited := 0
-	for head < len(queue) && r.count <= maxNodes {
-		if visited++; done != nil && visited%1024 == 0 {
+	// BFS over (configuration, crash-usage, output-history) walk records,
+	// each a canonical (configuration, output-history) graph node plus
+	// this walk's crash-usage id. The loop mirrors the original serial
+	// exploration exactly; only the successor computations are delegated
+	// to the shared graph. r.nodes is the queue: r.walked is its head.
+	w.checkSafety(0, g.negOuts)
+	for r.walked < len(r.nodes) && len(r.nodes) <= maxNodes {
+		if r.walked++; done != nil && r.walked%1024 == 0 {
 			select {
 			case <-done:
 				return nil, opts.Ctx.Err()
 			default:
 			}
 		}
-		nd := queue[head]
-		head++
-		g.ensure(nd.gn)
+		i := int32(r.walked - 1)
+		gn, used := r.nodes[i].gn, r.nodes[i].used
+		g.ensure(gn)
 
 		// Step successors (decided processes take no-op steps, which
 		// cannot reach new configurations — omitted from the expansion).
-		// Step children inherit the parent's crash-usage vector (shared,
-		// read-only).
-		for i, cg := range nd.gn.stepSucc {
-			child := r.lookup(cg, nd.used)
-			if child == nil {
-				child = r.newNode()
-				*child = node{cfg: cg.cfg, used: nd.used, outs: cg.outs,
-					parent: nd, via: schedule.Step(nd.gn.stepP[i]), gn: cg}
-				r.add(child)
-				w.checkSafety(child, nd.outs)
-				queue = append(queue, child)
+		// Step children keep the parent's crash-usage id.
+		for k, cg := range gn.stepSucc {
+			if child, fresh := r.visit(cg, used, i, stepEvent(gn.stepP[k])); fresh {
+				w.checkSafety(child, gn.outs)
 			}
-			nd.succ = append(nd.succ, child)
 		}
 
 		// Crash successors: quota is this walk's overlay on the shared
 		// structure; the initial-state skip is baked into the expansion.
-		// The usage vector is only materialized when the child is new.
 		for p := 0; p < len(quota); p++ {
-			if nd.used[p] >= quota[p] {
+			if r.usage.count(used, p) >= quota[p] {
 				continue
 			}
-			cg := nd.gn.crashSucc[p]
+			cg := gn.crashSucc[p]
 			if cg == nil {
 				continue
 			}
-			if r.lookupPlus(cg, nd.used, p) == nil {
-				used := r.newUsed(n)
-				copy(used, nd.used)
-				used[p]++
-				child := r.newNode()
-				*child = node{cfg: cg.cfg, used: used, outs: cg.outs,
-					parent: nd, via: schedule.Crash(p), gn: cg}
-				r.add(child)
-				w.checkSafety(child, nd.outs)
-				queue = append(queue, child)
+			if child, fresh := r.visit(cg, r.usage.plus(used, p), i, crashEvent(p)); fresh {
+				w.checkSafety(child, gn.outs)
 			}
 		}
 	}
-	if r.count > maxNodes {
+	if len(r.nodes) > maxNodes {
 		r.Truncated = true
 	}
-	r.Nodes = r.count
+	r.Nodes = len(r.nodes)
 
 	if !opts.SkipLiveness && !r.Truncated {
 		r.checkLiveness(&w)

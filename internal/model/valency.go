@@ -15,36 +15,52 @@ const (
 	Bivalent    = Valence0 | Valence1
 )
 
-// valency computes, for every explored node, the set of binary decisions
-// reachable from it, by backward closure from deciding nodes. The
-// computation is cycle-safe and linear in the size of the explored graph.
-func (r *Result) valency() map[*node]int {
+// valency computes, for every walk record, the set of binary decisions
+// reachable from it, by backward closure from deciding records over the
+// reversed successor graph (kept in compressed form: preds[start[j]:
+// start[j+1]] are record j's predecessors). The computation is
+// cycle-safe and linear in the size of the explored graph.
+func (r *Result) valency() []uint8 {
 	if r.valences != nil {
 		return r.valences
 	}
-	preds := make(map[*node][]*node, r.count)
-	var deciding [2][]*node
-	for _, nd := range r.order {
-		for _, s := range r.allSucc(nd) {
-			preds[s] = append(preds[s], nd)
+	n := len(r.nodes)
+	start := make([]int32, n+1)
+	var edges, buf []int32 // edges holds (child, parent) pairs
+	var deciding [2][]int32
+	for i := range r.nodes {
+		buf = r.succ(buf[:0], int32(i))
+		for _, c := range buf {
+			start[c+1]++
+			edges = append(edges, c, int32(i))
 		}
-		for p := 0; p < r.pr.Procs(); p++ {
-			if v := nd.gn.decided[p]; v == 0 || v == 1 {
-				deciding[v] = append(deciding[v], nd)
+		for _, v := range r.nodes[i].gn.decided {
+			if v == 0 || v == 1 {
+				deciding[v] = append(deciding[v], int32(i))
 			}
 		}
 	}
-	val := make(map[*node]int, r.count)
+	for j := 0; j < n; j++ {
+		start[j+1] += start[j]
+	}
+	preds := make([]int32, len(edges)/2)
+	fill := append([]int32(nil), start[:n]...)
+	for k := 0; k < len(edges); k += 2 {
+		c := edges[k]
+		preds[fill[c]] = edges[k+1]
+		fill[c]++
+	}
+	val := make([]uint8, n)
 	for v := 0; v <= 1; v++ {
-		bit := 1 << uint(v)
-		queue := append([]*node(nil), deciding[v]...)
-		for _, nd := range queue {
-			val[nd] |= bit
+		bit := uint8(1) << uint(v)
+		queue := append([]int32(nil), deciding[v]...)
+		for _, i := range queue {
+			val[i] |= bit
 		}
 		for len(queue) > 0 {
-			nd := queue[0]
+			i := queue[0]
 			queue = queue[1:]
-			for _, p := range preds[nd] {
+			for _, p := range preds[start[i]:start[i+1]] {
 				if val[p]&bit == 0 {
 					val[p] |= bit
 					queue = append(queue, p)
@@ -61,7 +77,11 @@ func (r *Result) valency() map[*node]int {
 // are decidable, Valence0/Valence1 if univalent, ValenceNone if no
 // decision is reachable (only possible for truncated or broken protocols).
 func (r *Result) Valence(nd *node) int {
-	return r.valency()[nd]
+	i := r.indexOf(nd)
+	if i < 0 {
+		return ValenceNone
+	}
+	return int(r.valency()[i])
 }
 
 // CriticalInfo describes a critical execution found by FindCritical and
@@ -102,16 +122,18 @@ func FindCritical(r *Result) (*CriticalInfo, error) {
 		return nil, fmt.Errorf("model: exploration truncated; criticality would be unsound")
 	}
 	val := r.valency()
-	if val[r.init]&Bivalent != Bivalent {
+	if val[0]&Bivalent != Bivalent {
 		return nil, fmt.Errorf("%w: initial configuration is not bivalent", ErrNoCritical)
 	}
 	// BFS through bivalent nodes.
-	seen := map[*node]bool{r.init: true}
-	queue := []*node{r.init}
+	seen := make([]bool, len(r.nodes))
+	seen[0] = true
+	queue := []int32{0}
+	var succ []int32
 	for len(queue) > 0 {
-		nd := queue[0]
+		i := queue[0]
 		queue = queue[1:]
-		succ := r.allSucc(nd)
+		succ = r.succ(succ[:0], i)
 		anyBivalent := false
 		for _, s := range succ {
 			if val[s]&Bivalent == Bivalent {
@@ -123,22 +145,24 @@ func FindCritical(r *Result) (*CriticalInfo, error) {
 			}
 		}
 		if !anyBivalent {
-			return r.classify(nd)
+			return r.classify(i)
 		}
 	}
 	return nil, fmt.Errorf("%w: all bivalent nodes have bivalent successors (cycle of bivalence)", ErrNoCritical)
 }
 
 // classify computes Lemma 9 (same object), the team structure and the
-// Observation 11 classification for a critical node.
-func (r *Result) classify(nd *node) (*CriticalInfo, error) {
+// Observation 11 classification for critical record i.
+func (r *Result) classify(i int32) (*CriticalInfo, error) {
 	n := r.pr.Procs()
 	val := r.valency()
 	objs := r.pr.Objects()
+	nd := r.nodes[i]
+	cfg := nd.gn.cfg
 
 	info := &CriticalInfo{
-		Trace:  nd.trace(),
-		Config: nd.cfg,
+		Trace:  r.trace(i),
+		Config: cfg,
 		Teams:  make([]int, n),
 		U:      [2]map[spec.Value]bool{make(map[spec.Value]bool), make(map[spec.Value]bool)},
 	}
@@ -148,7 +172,7 @@ func (r *Result) classify(nd *node) (*CriticalInfo, error) {
 	obj := -1
 	ops := make([]spec.Op, n)
 	for p := 0; p < n; p++ {
-		a := r.pr.Poised(p, nd.cfg.States[p])
+		a := r.pr.Poised(p, cfg.States[p])
 		if a.Decided {
 			return nil, fmt.Errorf("model: process p%d already decided in critical configuration", p)
 		}
@@ -166,9 +190,9 @@ func (r *Result) classify(nd *node) (*CriticalInfo, error) {
 	// successor is univalent. No process has decided (checked above), so
 	// the node's expansion carries exactly one step successor per
 	// process — read canonically instead of recomputing the transition.
-	for i, p := range nd.gn.stepP {
-		cn := r.lookup(nd.gn.stepSucc[i], nd.used)
-		if cn == nil {
+	for k, p := range nd.gn.stepP {
+		cn := r.lookup(nd.gn.stepSucc[k], nd.used)
+		if cn < 0 {
 			return nil, fmt.Errorf("model: internal error — step successor of critical node not explored")
 		}
 		switch val[cn] {
@@ -186,7 +210,7 @@ func (r *Result) classify(nd *node) (*CriticalInfo, error) {
 	// whose first process is on team x, each process applying its poised
 	// operation to the common object.
 	ft := objs[obj].Type
-	cur := nd.cfg.Vals[obj]
+	cur := cfg.Vals[obj]
 	inSched := make([]bool, n)
 	var dfs func(v spec.Value, team int)
 	dfs = func(v spec.Value, team int) {

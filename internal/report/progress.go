@@ -39,7 +39,8 @@ func ProgressLine(ev engine.Event) string {
 	case "chain.start":
 		return fmt.Sprintf("[engine] %s: building Theorem 13 chain", ev.Type)
 	case "chain.stage":
-		return fmt.Sprintf("[engine] %s: chain stage %d is %s", ev.Type, ev.N, ev.Detail)
+		return fmt.Sprintf("[engine] %s: chain stage %d is %s (%s)",
+			ev.Type, ev.N, ev.Detail, ev.Elapsed.Round(10*time.Microsecond))
 	}
 	return fmt.Sprintf("[engine] %s: %s", ev.Type, ev.Kind)
 }
