@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -17,7 +18,9 @@ import (
 	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/record"
+	"repro/internal/registry"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/types"
 	"repro/internal/universal"
 	"repro/internal/xsearch"
@@ -829,4 +832,64 @@ func BenchmarkModelStateSpace(b *testing.B) {
 			b.ReportMetric(float64(nodes), "nodes")
 		})
 	}
+}
+
+// BenchmarkStoreWarmLoad measures the decision journal's warm load: the
+// store.Open a restarted process pays before it serves, the layer under
+// perfbench restart's setup_s. The journal holds real decisions: every
+// registry type that takes no parameters, through AnalyzeAll at maxN 5.
+// Each iteration opens the store, loading every decision, and closes it;
+// only the Open is measured.
+func BenchmarkStoreWarmLoad(b *testing.B) {
+	var zoo []*Type
+	for _, e := range registry.Entries() {
+		if e.MinArgs == 0 {
+			ft, err := e.Build(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			zoo = append(zoo, ft)
+		}
+	}
+	path := filepath.Join(b.TempDir(), "decisions.repro")
+	st, err := store.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := engine.New(engine.WithCache(st.Cache()), engine.WithMaxN(5), engine.WithParallelism(1))
+	if _, err := eng.AnalyzeAll(zoo); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	decisions := st.Stats().Appended
+
+	// Only Open is timed: Close's fsync is not part of the load.
+	b.ReportAllocs()
+	b.StopTimer()
+	b.ResetTimer()
+	var ms0, ms1 runtime.MemStats
+	var allocated uint64
+	for i := 0; i < b.N; i++ {
+		runtime.ReadMemStats(&ms0)
+		b.StartTimer()
+		st, err := store.Open(path)
+		b.StopTimer()
+		runtime.ReadMemStats(&ms1)
+		allocated += ms1.TotalAlloc - ms0.TotalAlloc
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := st.Stats().Loaded; got != decisions {
+			b.Fatalf("warm-loaded %d decisions, want %d", got, decisions)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	per := float64(b.N) * float64(decisions)
+	b.ReportMetric(float64(decisions), "decisions")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/decision")
+	b.ReportMetric(float64(allocated)/per, "B/decision")
 }

@@ -7,28 +7,38 @@
 //
 // A store owns one directory. Each (structural fingerprint, input
 // vector) key — the same key engine.GraphCache uses — maps to one file,
-// written as a checksummed binary header followed by append-only pages.
-// Every page carries its own CRC-32C and holds a batch of fixed-width
-// node records (128-bit node fingerprint, dictionary-indexed
-// configuration, packed output-history/decision vectors, successor
-// indices) plus the local-state dictionary entries the batch introduces.
+// an internal/framelog log with magic "RPRGRAPH" and version 2.
+// framelog's doc is the one description of the header, the frame layout
+// and the crash-safety contracts; this package defines only the frame
+// payloads:
+//
+//   - The first frame is the key header: procs and objects as uint32,
+//     then the fingerprint and the input vector, each behind a uint16
+//     count. A file whose header names another key is refused.
+//   - Every later frame is a page: the local-state dictionary entries
+//     the page introduces, then a batch of fixed-width node records
+//     (position, 128-bit node fingerprint, dictionary-indexed
+//     configuration, packed output-history/decision vectors, the Done
+//     bit, successor indices).
+//
 // Node records refer to other nodes by intern-order position, and pages
 // only ever append nodes or complete previously-unexpanded ones, so the
 // file is a monotone log of model.GraphSnapshot growth.
 //
 // # Crash safety
 //
-// Load is a sequential scan with internal/store's corruption tolerance:
-// it stops at the first torn or checksum-failing page and returns the
-// good prefix, which is always a valid snapshot (pages apply
-// all-or-nothing, so no successor reference can dangle). The next spill
-// truncates the file to that good prefix before appending. A file whose
-// header is torn loads as empty and is rewritten; a file with an alien
-// header or a newer format version is refused outright — never
-// truncated or overwritten. Records that pass the container checksums
-// are verified once more on import (model.Graph.ImportSnapshot
-// recomputes each node fingerprint), so a corrupted file degrades to a
-// partial warm load or a clean re-expansion, never a wrong graph.
+// Load keeps framelog's good prefix. Pages apply all-or-nothing: a page
+// that passes its CRC but is structurally inconsistent (an unknown
+// dictionary index, a record position past the end) also ends the good
+// prefix, so no successor reference can dangle. The next spill
+// truncates the file to that good prefix before appending. A file with
+// an alien magic or another format version, including version 1 files,
+// is refused outright — never truncated or overwritten — and that key
+// is served from memory. A read error is an error too, never a shorter
+// prefix. Records that pass the frame checksums are verified once more
+// on import (model.Graph.ImportSnapshot recomputes each node
+// fingerprint), so a corrupted file degrades to a partial warm load or
+// a clean re-expansion, never a wrong graph.
 //
 // # Concurrency and ownership
 //

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/framelog"
 	"repro/internal/graphstore"
 	"repro/internal/model"
 	"repro/internal/registry"
@@ -15,9 +16,10 @@ import (
 // store key. The contract under test is the one the crash-recovery
 // design leans on: Load returns the good prefix of whatever is on disk,
 // or an error — it never panics, whatever a torn write, a bit flip, or
-// an adversarial file put there. Seeds include a genuine Spill output
-// and systematically damaged variants of it, so the fuzzer starts at
-// the format's interesting boundaries instead of random noise.
+// an adversarial file put there. Seeds include a genuine Spill output,
+// systematically damaged variants of it, and refused headers (alien,
+// version 1, a newer version), so the fuzzer starts at the format's
+// interesting boundaries instead of random noise.
 func FuzzGraphstoreLoad(f *testing.F) {
 	pr, err := registry.ParseProtocol("tas-reg")
 	if err != nil {
@@ -62,6 +64,11 @@ func FuzzGraphstoreLoad(f *testing.F) {
 	f.Add([]byte(graphstore.Magic))
 	f.Add([]byte(strings.Repeat("A", 256)))
 	f.Add([]byte{})
+	f.Add([]byte(graphstore.Magic[:5]))
+	v1 := append([]byte(nil), valid...)
+	v1[8] = 1
+	f.Add(v1)
+	f.Add(framelog.Format{Magic: graphstore.Magic, Version: graphstore.Version + 1}.Header())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -1,39 +1,44 @@
 package graphstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
+	"repro/internal/framelog"
 	"repro/internal/model"
 )
 
-// Magic is the 8-byte tag opening every graph-store file.
-const Magic = "RPRGRAPH"
+// Magic opens every graph-store file; Version is the only file-format
+// version this build reads and writes. A file of any other version is
+// refused for its key, never truncated or migrated.
+const (
+	Magic   = "RPRGRAPH"
+	Version = 2
+)
 
-// Version is the newest file-format version this package writes. Files
-// with a newer version are refused (not silently truncated): they hold
-// valid data from a newer build, which must not be destroyed.
-const Version = 1
+var format = framelog.Format{Magic: Magic, Version: Version}
 
 const (
 	// pageMaxRecords bounds the node records of one page; a spill larger
-	// than this splits into several pages, each independently CRC'd.
+	// than this splits into several pages, each its own frame.
 	pageMaxRecords = 4096
-	// maxPayload is the sanity cap on one page's payload length; a
-	// corrupted length field beyond it reads as a torn page.
-	maxPayload = 1 << 26
 	// succNone encodes an absent successor reference (-1).
 	succNone = ^uint32(0)
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+var (
+	// errBadPage rejects a frame that does not decode as a page.
+	errBadPage = errors.New("graphstore: malformed page")
+	// errForeignKey refuses a file whose header frame is not its key's.
+	errForeignKey = errors.New("header names another key (refusing to overwrite; move the file aside to start fresh)")
+)
 
 // Store is an open graph-store directory. It is safe for concurrent
 // use; all file access is serialized internally. Construct with Open;
@@ -43,7 +48,6 @@ type Store struct {
 
 	mu    sync.Mutex
 	files map[string]*fileState
-	stats Stats
 }
 
 // fileState tracks the durable good prefix of one key's file, the
@@ -67,21 +71,6 @@ type fileState struct {
 
 type nodeID struct{ hi, lo uint64 }
 
-// Stats counts a store's traffic since Open.
-type Stats struct {
-	// Loads counts successful warm loads; LoadedNodes their total node
-	// records. Misses counts loads that found no file.
-	Loads       uint64 `json:"loads"`
-	LoadedNodes uint64 `json:"loadedNodes"`
-	Misses      uint64 `json:"misses"`
-	// Spills counts successful spills that wrote at least one page;
-	// SpilledNodes their total node records (appends plus updates).
-	Spills       uint64 `json:"spills"`
-	SpilledNodes uint64 `json:"spilledNodes"`
-	// Errors counts refused loads and failed or skipped-as-bad spills.
-	Errors uint64 `json:"errors"`
-}
-
 // Open opens (creating if absent) the graph store rooted at dir.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
@@ -96,28 +85,15 @@ func Open(dir string) (*Store, error) {
 // Dir returns the directory the store was opened with.
 func (s *Store) Dir() string { return s.dir }
 
-// Stats reports the store's traffic counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
 // fileName maps a (fingerprint, inputs) key to its file. The
 // fingerprint is already a 64-char hex string; inputs join with '_'
 // after a "-in" separator, so distinct keys cannot collide.
 func fileName(fp string, inputs []int) string {
-	var b strings.Builder
-	b.WriteString(fp)
-	b.WriteString("-in")
+	parts := make([]string, len(inputs))
 	for i, in := range inputs {
-		if i > 0 {
-			b.WriteByte('_')
-		}
-		fmt.Fprintf(&b, "%d", in)
+		parts[i] = strconv.Itoa(in)
 	}
-	b.WriteString(".graph")
-	return b.String()
+	return fp + "-in" + strings.Join(parts, "_") + ".graph"
 }
 
 func (s *Store) path(fp string, inputs []int) string {
@@ -125,200 +101,74 @@ func (s *Store) path(fp string, inputs []int) string {
 }
 
 // Load reads the good prefix of the key's file as a snapshot. A missing
-// file is a miss: (nil, nil). A file with an alien header or a newer
-// format version is an error, and the key is marked bad so spills never
-// touch the foreign file. A corrupted tail silently shortens the
-// snapshot — the caller imports whatever loaded and re-expands the
-// rest.
+// file is a miss: (nil, nil). A file with an alien header, another
+// format version or another key's header is an error, as is a read
+// failure, and the key is marked bad so spills never touch the file. A
+// corrupted tail silently shortens the snapshot — the caller imports
+// whatever loaded and re-expands the rest.
 func (s *Store) Load(fp string, inputs []int) (*model.GraphSnapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap, st, err := s.load(fp, inputs)
 	if err != nil {
-		s.stats.Errors++
 		s.files[fileName(fp, inputs)] = &fileState{bad: true}
 		return nil, err
 	}
 	s.files[fileName(fp, inputs)] = st
-	if snap == nil {
-		s.stats.Misses++
-		return nil, nil
-	}
-	s.stats.Loads++
-	s.stats.LoadedNodes += uint64(len(snap.Nodes))
 	return snap, nil
 }
 
-// load reads the file without touching counters or the state map;
-// callers hold s.mu. A missing file returns (nil, zero-state, nil).
+// load reads the file without touching the state map; callers hold
+// s.mu. A missing file returns (nil, zero-state, nil). The first frame is
+// the header: procs and objects as uint32, then the key (keyBytes).
+// Every later frame is a page.
 func (s *Store) load(fp string, inputs []int) (*model.GraphSnapshot, *fileState, error) {
 	path := s.path(fp, inputs)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, &fileState{unexpanded: make(map[int]struct{})}, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-
-	hdr, hdrLen, err := readHeader(f, path)
-	if err != nil {
-		return nil, nil, err
-	}
 	st := &fileState{unexpanded: make(map[int]struct{})}
-	if hdr == nil {
-		// Torn header: nothing was ever durably stored. The next spill
-		// rewrites the file from offset 0.
-		return nil, st, nil
+	key := keyBytes(fp, inputs)
+	var snap *model.GraphSnapshot
+	foreign := false
+	good, err := framelog.ScanFile(path, format, func(frame []byte) error {
+		if snap == nil {
+			if foreign = len(frame) < 8 || !bytes.Equal(frame[8:], key); foreign {
+				return errForeignKey
+			}
+			snap = &model.GraphSnapshot{
+				Procs:   int(binary.LittleEndian.Uint32(frame[0:4])),
+				Objects: int(binary.LittleEndian.Uint32(frame[4:8])),
+				Inputs:  append([]int(nil), inputs...),
+			}
+		} else if !applyPage(snap, st, frame) {
+			return errBadPage
+		}
+		return nil
+	})
+	if err == nil && foreign {
+		err = fmt.Errorf("%s: %w", path, errForeignKey)
 	}
-	if err := hdr.matches(fp, inputs); err != nil {
-		return nil, nil, fmt.Errorf("graphstore: %s: %w", path, err)
+	if err != nil {
+		return nil, nil, fmt.Errorf("graphstore: %w", err)
 	}
-
-	snap := &model.GraphSnapshot{
-		Procs:   int(hdr.procs),
-		Objects: int(hdr.objects),
-		Inputs:  append([]int(nil), inputs...),
-	}
-	st.goodLen = hdrLen
-	off := hdrLen
-	var page []byte
-	for {
-		var pfx [8]byte
-		if _, err := io.ReadFull(f, pfx[:]); err != nil {
-			break // clean end or torn page-length prefix
-		}
-		plen := binary.LittleEndian.Uint32(pfx[0:4])
-		want := binary.LittleEndian.Uint32(pfx[4:8])
-		if plen == 0 || plen > maxPayload {
-			break
-		}
-		if cap(page) < int(plen) {
-			page = make([]byte, plen)
-		}
-		page = page[:plen]
-		if _, err := io.ReadFull(f, page); err != nil {
-			break
-		}
-		if crc32.Checksum(page, castagnoli) != want {
-			break
-		}
-		if !applyPage(snap, st, page) {
-			break
-		}
-		off += 8 + int64(plen)
-		st.goodLen = off
-	}
-	if len(snap.Nodes) == 0 {
-		// A bare header (or one whose first page tore) carries no nodes;
-		// load it as a miss so the caller expands cold, but keep the
-		// header's good prefix so the next spill appends after it.
+	st.goodLen = good
+	if snap == nil || len(snap.Nodes) == 0 {
+		// No header frame survived (the next spill writes one), or a bare
+		// header carries no nodes: load it as a miss so the caller expands
+		// cold, keeping the good prefix so the next spill appends after it.
 		return nil, st, nil
 	}
 	return snap, st, nil
 }
 
-// header is the decoded file header.
-type fileHeader struct {
-	version uint32
-	procs   uint32
-	objects uint32
-	fp      string
-	inputs  []int32
-}
-
-func (h *fileHeader) matches(fp string, inputs []int) error {
-	if h.fp != fp {
-		return fmt.Errorf("file holds fingerprint %.12s…, key is %.12s…", h.fp, fp)
-	}
-	if len(h.inputs) != len(inputs) {
-		return fmt.Errorf("file holds %d inputs, key has %d", len(h.inputs), len(inputs))
-	}
-	for i, in := range h.inputs {
-		if int(in) != inputs[i] {
-			return fmt.Errorf("file built for inputs %v, key is %v", h.inputs, inputs)
-		}
-	}
-	return nil
-}
-
-// readHeader decodes and verifies the file header. A short (torn)
-// header returns (nil, 0, nil): nothing durable. An alien magic or a
-// newer version is an error — the file must not be truncated or
-// overwritten. A checksum-failing header with our magic reads as torn:
-// the file never held durable pages a truncation could destroy, because
-// every write path makes the header durable before the first page.
-func readHeader(f *os.File, path string) (*fileHeader, int64, error) {
-	var fixed [24]byte
-	if _, err := io.ReadFull(f, fixed[:]); err != nil {
-		return nil, 0, nil
-	}
-	if string(fixed[0:8]) != Magic {
-		return nil, 0, fmt.Errorf("graphstore: %s has no graph-store header (refusing to overwrite; move the file aside to start fresh)", path)
-	}
-	version := binary.LittleEndian.Uint32(fixed[8:12])
-	if version > Version {
-		return nil, 0, fmt.Errorf("graphstore: %s is format version %d, newer than this build's %d", path, version, Version)
-	}
-	h := &fileHeader{
-		version: version,
-		procs:   binary.LittleEndian.Uint32(fixed[12:16]),
-		objects: binary.LittleEndian.Uint32(fixed[16:20]),
-	}
-	varLen := binary.LittleEndian.Uint32(fixed[20:24])
-	if varLen > 1<<16 {
-		return nil, 0, nil
-	}
-	varPart := make([]byte, varLen+4) // variable section + CRC
-	if _, err := io.ReadFull(f, varPart); err != nil {
-		return nil, 0, nil
-	}
-	crc := binary.LittleEndian.Uint32(varPart[varLen:])
-	sum := crc32.Checksum(fixed[:], castagnoli)
-	sum = crc32.Update(sum, castagnoli, varPart[:varLen])
-	if sum != crc {
-		return nil, 0, nil
-	}
-	v := varPart[:varLen]
-	if len(v) < 2 {
-		return nil, 0, nil
-	}
-	fpLen := int(binary.LittleEndian.Uint16(v[0:2]))
-	v = v[2:]
-	if len(v) < fpLen+2 {
-		return nil, 0, nil
-	}
-	h.fp = string(v[:fpLen])
-	v = v[fpLen:]
-	nIn := int(binary.LittleEndian.Uint16(v[0:2]))
-	v = v[2:]
-	if len(v) != 4*nIn {
-		return nil, 0, nil
-	}
-	for i := 0; i < nIn; i++ {
-		h.inputs = append(h.inputs, int32(binary.LittleEndian.Uint32(v[4*i:])))
-	}
-	return h, 24 + int64(varLen) + 4, nil
-}
-
-// encodeHeader renders the header for (fp, inputs, procs, objects).
-func encodeHeader(fp string, inputs []int, procs, objects int) []byte {
-	var varPart []byte
-	varPart = binary.LittleEndian.AppendUint16(varPart, uint16(len(fp)))
-	varPart = append(varPart, fp...)
-	varPart = binary.LittleEndian.AppendUint16(varPart, uint16(len(inputs)))
+// keyBytes renders a key as the header frame names it: the fingerprint
+// and the input vector, each behind a uint16 count.
+func keyBytes(fp string, inputs []int) []byte {
+	out := binary.LittleEndian.AppendUint16(nil, uint16(len(fp)))
+	out = append(out, fp...)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(inputs)))
 	for _, in := range inputs {
-		varPart = binary.LittleEndian.AppendUint32(varPart, uint32(int32(in)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(int32(in)))
 	}
-	out := make([]byte, 0, 24+len(varPart)+4)
-	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, uint32(procs))
-	out = binary.LittleEndian.AppendUint32(out, uint32(objects))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(varPart)))
-	out = append(out, varPart...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+	return out
 }
 
 // recordSize is the fixed width of one node record for the dimensions.
@@ -410,27 +260,16 @@ func applyPage(snap *model.GraphSnapshot, st *fileState, page []byte) bool {
 		}
 		nd.Done = b[o] != 0
 		o++
-		for p := 0; p < procs; p++ {
-			v := binary.LittleEndian.Uint32(b[o:])
-			if v == succNone {
-				nd.StepSucc[p] = -1
-			} else if v >= 1<<31 {
-				return false
-			} else {
-				nd.StepSucc[p] = int32(v)
+		for _, succ := range [2][]int32{nd.StepSucc, nd.CrashSucc} {
+			for p := range succ {
+				// succNone reads back as -1; any other index must fit int32.
+				v := binary.LittleEndian.Uint32(b[o:])
+				if v >= 1<<31 && v != succNone {
+					return false
+				}
+				succ[p] = int32(v)
+				o += 4
 			}
-			o += 4
-		}
-		for p := 0; p < procs; p++ {
-			v := binary.LittleEndian.Uint32(b[o:])
-			if v == succNone {
-				nd.CrashSucc[p] = -1
-			} else if v >= 1<<31 {
-				return false
-			} else {
-				nd.CrashSucc[p] = int32(v)
-			}
-			o += 4
 		}
 		recs = append(recs, parsed{idx: idx, nd: nd})
 	}
@@ -479,18 +318,9 @@ func encodeRecord(dst []byte, idx int, nd *model.SnapshotNode) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	for _, si := range nd.StepSucc {
-		if si < 0 {
-			dst = binary.LittleEndian.AppendUint32(dst, succNone)
-		} else {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(si))
-		}
-	}
-	for _, ci := range nd.CrashSucc {
-		if ci < 0 {
-			dst = binary.LittleEndian.AppendUint32(dst, succNone)
-		} else {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(ci))
+	for _, succ := range [2][]int32{nd.StepSucc, nd.CrashSucc} {
+		for _, si := range succ {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(si)) // -1 is succNone
 		}
 	}
 	return dst
@@ -514,7 +344,6 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 		// earlier process wrote it and this one expanded cold).
 		_, fresh, err := s.load(fp, inputs)
 		if err != nil {
-			s.stats.Errors++
 			s.files[key] = &fileState{bad: true}
 			return 0, err
 		}
@@ -522,7 +351,6 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 		s.files[key] = st
 	}
 	if st.bad {
-		s.stats.Errors++
 		return 0, nil
 	}
 	// The snapshot must extend the persisted prefix node for node. A
@@ -536,7 +364,6 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 	for i, id := range st.fps {
 		if snap.Nodes[i].FPHi != id.hi || snap.Nodes[i].FPLo != id.lo {
 			st.bad = true
-			s.stats.Errors++
 			return 0, nil
 		}
 	}
@@ -556,7 +383,6 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 	written, err := s.write(fp, inputs, snap, st, updates, newDict)
 	if err != nil {
 		st.bad = true
-		s.stats.Errors++
 		return 0, err
 	}
 	// Commit the new durable prefix.
@@ -571,82 +397,55 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 	}
 	st.nodes = len(snap.Nodes)
 	st.dict = len(snap.States)
-	s.stats.Spills++
-	s.stats.SpilledNodes += uint64(written)
 	return written, nil
 }
 
-// write performs the file I/O of one spill: truncate to the good
-// prefix, (re)write the header if none is durable, append the delta
-// pages, fsync, and advance goodLen.
+// write performs the file I/O of one spill: an appender cut back to the
+// good prefix, the header frame if none is durable, the delta pages, an
+// fsync, and the new goodLen.
 func (s *Store) write(fp string, inputs []int, snap *model.GraphSnapshot, st *fileState, updates []int, newDict []string) (int, error) {
-	f, err := os.OpenFile(s.path(fp, inputs), os.O_CREATE|os.O_RDWR, 0o644)
+	a, err := framelog.OpenAppender(s.path(fp, inputs), format, st.goodLen)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	if fi, err := f.Stat(); err != nil {
-		return 0, err
-	} else if fi.Size() != st.goodLen {
-		if err := f.Truncate(st.goodLen); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := f.Seek(st.goodLen, io.SeekStart); err != nil {
-		return 0, err
-	}
-	var out []byte
-	if st.goodLen == 0 {
-		out = append(out, encodeHeader(fp, inputs, snap.Procs, snap.Objects)...)
+	if st.goodLen <= framelog.HeaderSize { // no header frame is durable yet
+		hdr := binary.LittleEndian.AppendUint32(nil, uint32(snap.Procs))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(snap.Objects))
+		err = a.Append(append(hdr, keyBytes(fp, inputs)...))
 	}
 
 	// One record stream: updates first (they complete nodes already on
 	// disk), then the new tail. The dictionary delta rides in the first
 	// page; it must, because records in that page may reference it.
-	type ref struct{ idx int }
-	stream := make([]ref, 0, len(updates)+len(snap.Nodes)-st.nodes)
-	for _, idx := range updates {
-		stream = append(stream, ref{idx})
-	}
+	stream := make([]int, 0, len(updates)+len(snap.Nodes)-st.nodes)
+	stream = append(stream, updates...)
 	for i := st.nodes; i < len(snap.Nodes); i++ {
-		stream = append(stream, ref{i})
+		stream = append(stream, i)
 	}
-	written := 0
-	for start := 0; start < len(stream) || (start == 0 && len(stream) == 0); start += pageMaxRecords {
-		end := start + pageMaxRecords
-		if end > len(stream) {
-			end = len(stream)
+	var payload []byte
+	for start := 0; err == nil && (start < len(stream) || start == 0); start += pageMaxRecords {
+		end := min(start+pageMaxRecords, len(stream))
+		dict := newDict
+		if start > 0 {
+			dict = nil
 		}
-		var payload []byte
-		if start == 0 {
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(newDict)))
-			for _, str := range newDict {
-				payload = binary.LittleEndian.AppendUint16(payload, uint16(len(str)))
-				payload = append(payload, str...)
-			}
-		} else {
-			payload = binary.LittleEndian.AppendUint32(payload, 0)
+		payload = binary.LittleEndian.AppendUint32(payload[:0], uint32(len(dict)))
+		for _, str := range dict {
+			payload = binary.LittleEndian.AppendUint16(payload, uint16(len(str)))
+			payload = append(payload, str...)
 		}
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(end-start))
-		for _, r := range stream[start:end] {
-			payload = encodeRecord(payload, r.idx, &snap.Nodes[r.idx])
+		for _, idx := range stream[start:end] {
+			payload = encodeRecord(payload, idx, &snap.Nodes[idx])
 		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-		out = append(out, payload...)
-		written += end - start
-		if len(stream) == 0 {
-			break
-		}
+		err = a.Append(payload)
 	}
-	if _, err := f.Write(out); err != nil {
+	if cerr := a.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		return 0, err
-	}
-	// The header (when freshly written) is part of out, so one advance
-	// covers both.
-	st.goodLen += int64(len(out))
-	return written, nil
+	st.goodLen = a.Size()
+	return len(stream), nil
 }

@@ -122,28 +122,69 @@ func storeFile(t *testing.T, dir string) string {
 	return filepath.Join(dir, ents[0].Name())
 }
 
-// TestStoreRoundTrip spills a fully expanded graph and requires the
-// loaded snapshot to be byte-identical to the export, warm walks to
-// match fresh ones with zero re-expansion, and a re-spill to be a
-// no-op.
+// TestStoreRoundTrip spills a partly expanded graph, warm-loads it,
+// finishes the expansion on the imported graph and spills the growth;
+// a fresh store handle must then load a snapshot byte-identical to the
+// final export, warm walks must match fresh ones with zero re-expansion,
+// and a re-spill must be a no-op. Every spill must report exactly the
+// records it wrote: all nodes first, then the completed and new ones.
 func TestStoreRoundTrip(t *testing.T) {
 	for _, desc := range []string{"tnn-wf:3,2", "tnn-rec:3,2,2", "cas-wf:2", "cas-rec:2", "tas-reg"} {
 		t.Run(desc, func(t *testing.T) {
 			pr, fp, inputs, walks := testProtocol(t, desc)
-			s, err := graphstore.Open(t.TempDir())
+			dir := t.TempDir()
+			s, err := graphstore.Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, want := expand(t, pr, inputs, walks)
-			snap := g.Export()
-			written, err := s.Spill(fp, inputs, snap)
+			_, want := expand(t, pr, inputs, walks)
+			g, err := model.NewGraph(pr, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if written != len(snap.Nodes) {
-				t.Fatalf("spilled %d of %d nodes", written, len(snap.Nodes))
+			if _, err := g.Check(model.CheckOpts{Inputs: inputs, MaxNodes: 2}); err != nil {
+				t.Fatal(err)
+			}
+			partial := g.Export()
+			if written, err := s.Spill(fp, inputs, partial); err != nil || written != len(partial.Nodes) {
+				t.Fatalf("spilled %d of %d nodes (err %v)", written, len(partial.Nodes), err)
 			}
 			got, err := s.Load(fp, inputs)
+			if err != nil || got == nil {
+				t.Fatalf("Load = (%v, %v), want the partial snapshot", got, err)
+			}
+			if !reflect.DeepEqual(got, partial) {
+				t.Fatal("loaded snapshot is not byte-identical to the partial export")
+			}
+			grown, err := model.NewGraph(pr, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := grown.ImportSnapshot(got); err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range walks {
+				if _, err := grown.Check(opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := grown.Export()
+			wantWritten := len(snap.Nodes) - len(partial.Nodes)
+			for i, nd := range partial.Nodes {
+				if !nd.Done && snap.Nodes[i].Done {
+					wantWritten++
+				}
+			}
+			// The grown spill lands only if Load left the key writable.
+			if written, err := s.Spill(fp, inputs, snap); err != nil || written != wantWritten || written == 0 {
+				t.Fatalf("grown spill wrote %d records, want %d > 0 (err %v)", written, wantWritten, err)
+			}
+
+			s2, err := graphstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = s2.Load(fp, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,14 +211,33 @@ func TestStoreRoundTrip(t *testing.T) {
 			if after := warm.Stats(); after.Expanded != before.Expanded {
 				t.Fatalf("warm walks expanded %d new nodes", after.Expanded-before.Expanded)
 			}
-			if again, err := s.Spill(fp, inputs, warm.Export()); err != nil || again != 0 {
+			if again, err := s2.Spill(fp, inputs, warm.Export()); err != nil || again != 0 {
 				t.Fatalf("re-spill of a current file wrote %d records (err %v)", again, err)
 			}
-			st := s.Stats()
-			if st.Spills != 1 || st.Loads != 1 || st.Errors != 0 {
-				t.Fatalf("unexpected counters %+v", st)
-			}
 		})
+	}
+}
+
+// TestStoreLoadReadError: a key whose file cannot be read (here a
+// directory sits at its path) is an error, never a miss. Reading it as
+// a miss would let the next spill truncate durable pages on a transient
+// I/O failure.
+func TestStoreLoadReadError(t *testing.T) {
+	pr, fp, inputs, walks := testProtocol(t, "cas-wf:2")
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, fp+"-in0_1.graph"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := s.Load(fp, inputs); err == nil {
+		t.Fatalf("Load of an unreadable key = (%v, nil), want an error", snap)
+	}
+	g, _ := expand(t, pr, inputs, walks)
+	if n, _ := s.Spill(fp, inputs, g.Export()); n != 0 {
+		t.Fatalf("spill over an unreadable key wrote %d records", n)
 	}
 }
 
@@ -344,9 +404,9 @@ func TestStoreBitFlip(t *testing.T) {
 	}
 }
 
-// TestStoreRefusals: a missing file is a miss, an alien file and a
-// newer-version file are errors and are never truncated or overwritten
-// by subsequent spills.
+// TestStoreRefusals: a missing file is a miss, an alien file and a file
+// of another format version are errors and are never truncated or
+// overwritten by subsequent spills.
 func TestStoreRefusals(t *testing.T) {
 	pr, fp, inputs, _ := testProtocol(t, "cas-wf:2")
 	dir := t.TempDir()
@@ -399,21 +459,25 @@ func TestStoreRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8] = byte(graphstore.Version + 1) // little-endian version low byte
-	if err := os.WriteFile(newerPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s4, err := graphstore.Open(s3.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s4.Load(fp, inputs); err == nil {
-		t.Fatal("newer-version file loaded without error")
-	}
-	if n, _ := s4.Spill(fp, inputs, g.Export()); n != 0 {
-		t.Fatal("spill over a newer-version file wrote records")
-	}
-	if got, _ := os.ReadFile(newerPath); !reflect.DeepEqual(got, data) {
-		t.Fatal("newer-version file was modified")
+	// Version 1 (the pre-framelog layout) and version+1 are both refused:
+	// the version is the little-endian uint32 after the magic.
+	for _, version := range []byte{1, graphstore.Version + 1} {
+		data[8] = version
+		if err := os.WriteFile(newerPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s4, err := graphstore.Open(s3.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s4.Load(fp, inputs); err == nil {
+			t.Fatalf("version-%d file loaded without error", version)
+		}
+		if n, _ := s4.Spill(fp, inputs, g.Export()); n != 0 {
+			t.Fatalf("spill over a version-%d file wrote records", version)
+		}
+		if got, _ := os.ReadFile(newerPath); !reflect.DeepEqual(got, data) {
+			t.Fatalf("version-%d file was modified", version)
+		}
 	}
 }

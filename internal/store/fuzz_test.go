@@ -2,18 +2,19 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/framelog"
 )
 
 // loadedDecisions renders every decision in st's cache as its encoded
-// record line, keyed by decision key, for byte-exact comparison.
+// frame payload, keyed by decision key, for byte-exact comparison.
 func loadedDecisions(t *testing.T, st *Store) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
@@ -30,12 +31,15 @@ func loadedDecisions(t *testing.T, st *Store) map[string][]byte {
 
 // FuzzStoreLoad puts arbitrary bytes at the snapshot or the journal path
 // of a decision store and opens it. Open must either refuse the file —
-// only possible once a complete first line exists, and leaving the file
-// untouched — or load a good prefix: the snapshot is never rewritten,
+// only possible once the bytes are more than a torn prefix of the
+// header, and leaving the file untouched — or load a good prefix: the
+// snapshot is never rewritten,
 // the journal is cut back to a prefix of the bytes (or, with no good
 // prefix at all, to a fresh header), every loaded decision survives the
 // record codec unchanged, and after Close a second Open loads exactly
-// the same decisions. The corpus is seeded from a real journal.
+// the same decisions. The corpus is seeded from a real journal, damaged
+// copies of it, and refused headers: alien, newer, and a version-1
+// line-oriented file.
 func FuzzStoreLoad(f *testing.F) {
 	seedPath := filepath.Join(f.TempDir(), "decisions")
 	st, err := Open(seedPath)
@@ -53,7 +57,6 @@ func FuzzStoreLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	newer, _ := json.Marshal(header{Format: Format, Version: Version + 1})
 	flipped := append([]byte(nil), journal...)
 	flipped[len(flipped)/2] ^= 0x08
 	for _, seed := range [][]byte{
@@ -61,10 +64,11 @@ func FuzzStoreLoad(f *testing.F) {
 		journal[:len(journal)/2],
 		journal[:len(journal)-2],
 		flipped,
-		append(newer, '\n'),
+		framelog.Format{Magic: Magic, Version: Version + 1}.Header(),
 		[]byte("not a store\n"),
-		[]byte(`{"format":"repro-dec`),
+		[]byte(Magic[:5]),
 		{},
+		[]byte(`{"format":"repro-decision-store","version":1}` + "\n"),
 	} {
 		f.Add(seed, true)
 		f.Add(seed, false)
@@ -81,8 +85,8 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		st, err := Open(path)
 		if err != nil {
-			if !bytes.Contains(data, []byte("\n")) {
-				t.Fatalf("Open refused a file without a complete header line: %v", err)
+			if len(data) < framelog.HeaderSize && strings.HasPrefix(Magic, string(data[:min(len(data), len(Magic))])) {
+				t.Fatalf("Open refused a torn header: %v", err)
 			}
 			if got, _ := os.ReadFile(target); !bytes.Equal(got, data) {
 				t.Fatal("Open modified a file it refused")
@@ -94,7 +98,7 @@ func FuzzStoreLoad(f *testing.F) {
 			t.Fatalf("Stats().Loaded = %d, cache holds %d decisions", got, len(first))
 		}
 		for k, line := range first {
-			e, err := decodeEntry(bytes.TrimSuffix(line, []byte("\n")))
+			e, err := decodeEntry(line)
 			if err != nil {
 				t.Fatalf("%s: re-encoded record does not decode: %v", k, err)
 			}
@@ -117,8 +121,7 @@ func FuzzStoreLoad(f *testing.F) {
 				t.Fatal("Open rewrote the snapshot")
 			}
 		case !bytes.HasPrefix(data, got):
-			hb, _ := json.Marshal(header{Format: Format, Version: Version})
-			if !bytes.Equal(got, append(hb, '\n')) {
+			if !bytes.Equal(got, format.Header()) {
 				t.Fatalf("journal is neither a prefix of its bytes nor a fresh header: %q", got)
 			}
 		}

@@ -1,43 +1,32 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
 
 	"repro/internal/discern"
 	"repro/internal/engine"
+	"repro/internal/framelog"
 	"repro/internal/record"
 )
 
-// Format is the header tag identifying decision-store files.
-const Format = "repro-decision-store"
+// Magic opens every decision-store file; Version is the only file-format
+// version this build reads and writes. A file of any other version is
+// refused at Open, never truncated or migrated.
+const (
+	Magic   = "RPRDECSN"
+	Version = 2
+)
 
-// Version is the newest file-format version this package writes. Files
-// with a newer version are refused (not silently truncated): they hold
-// valid data from a newer build, which must not be destroyed.
-const Version = 1
+var format = framelog.Format{Magic: Magic, Version: Version}
 
 // journalSuffix names the journal file beside the snapshot path.
 const journalSuffix = ".journal"
-
-// castagnoli is the CRC-32C table used for record checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// header is the first line of snapshot and journal files.
-type header struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-}
 
 // entryJSON is the serialized decision. The fingerprint is hex-encoded:
 // JSON numbers cannot carry 64 bits exactly.
@@ -49,13 +38,7 @@ type entryJSON struct {
 	W    json.RawMessage `json:"w,omitempty"`
 }
 
-// recordJSON is one non-header line: the entry bytes plus their CRC-32C.
-type recordJSON struct {
-	E json.RawMessage `json:"e"`
-	C uint32          `json:"c"`
-}
-
-// encodeEntry renders e as one newline-terminated journal line.
+// encodeEntry renders e as one frame payload.
 func encodeEntry(e engine.Entry) ([]byte, error) {
 	ej := entryJSON{FP: fmt.Sprintf("%016x", e.FP), Prop: string(e.Prop), N: e.N, OK: e.OK}
 	var w any
@@ -72,30 +55,15 @@ func encodeEntry(e engine.Entry) ([]byte, error) {
 		}
 		ej.W = wb
 	}
-	eb, err := json.Marshal(ej)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(recordJSON{E: eb, C: crc32.Checksum(eb, castagnoli)})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
+	return json.Marshal(ej)
 }
 
-// decodeEntry parses one record line, verifying the CRC and the
-// decision's internal consistency (a positive decision must carry a
-// witness of the right kind and level).
-func decodeEntry(line []byte) (engine.Entry, error) {
-	var rec recordJSON
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return engine.Entry{}, err
-	}
-	if got := crc32.Checksum(rec.E, castagnoli); got != rec.C {
-		return engine.Entry{}, fmt.Errorf("store: record CRC mismatch (%08x != %08x)", got, rec.C)
-	}
+// decodeEntry parses one frame payload, verifying the decision's internal
+// consistency (a positive decision must carry a witness of the right
+// kind and level).
+func decodeEntry(payload []byte) (engine.Entry, error) {
 	var ej entryJSON
-	if err := json.Unmarshal(rec.E, &ej); err != nil {
+	if err := json.Unmarshal(payload, &ej); err != nil {
 		return engine.Entry{}, err
 	}
 	fp, err := strconv.ParseUint(ej.FP, 16, 64)
@@ -106,116 +74,27 @@ func decodeEntry(line []byte) (engine.Entry, error) {
 	if e.N < 2 {
 		return engine.Entry{}, fmt.Errorf("store: bad level n=%d", e.N)
 	}
-	switch e.Prop {
-	case engine.Discerning:
-		if e.OK {
-			e.DiscernWitness = &discern.Witness{}
-			err = json.Unmarshal(ej.W, e.DiscernWitness)
-		}
-	case engine.Recording:
-		if e.OK {
-			e.RecordWitness = &record.Witness{}
-			err = json.Unmarshal(ej.W, e.RecordWitness)
-		}
-	default:
+	wn := e.N // the witness's level; a negative decision carries none
+	switch {
+	case e.Prop != engine.Discerning && e.Prop != engine.Recording:
 		return engine.Entry{}, fmt.Errorf("store: unknown property %q", ej.Prop)
+	case !e.OK:
+	case e.Prop == engine.Discerning:
+		e.DiscernWitness = &discern.Witness{}
+		err = json.Unmarshal(ej.W, e.DiscernWitness)
+		wn = e.DiscernWitness.N
+	default:
+		e.RecordWitness = &record.Witness{}
+		err = json.Unmarshal(ej.W, e.RecordWitness)
+		wn = e.RecordWitness.N
 	}
 	if err != nil {
 		return engine.Entry{}, err
 	}
-	if e.OK {
-		wn := 0
-		if e.DiscernWitness != nil {
-			wn = e.DiscernWitness.N
-		} else if e.RecordWitness != nil {
-			wn = e.RecordWitness.N
-		}
-		if wn != e.N {
-			return engine.Entry{}, fmt.Errorf("store: witness level %d does not match entry level %d", wn, e.N)
-		}
+	if wn != e.N {
+		return engine.Entry{}, fmt.Errorf("store: witness level %d does not match entry level %d", wn, e.N)
 	}
 	return e, nil
-}
-
-// readDecisions loads the decisions of one store file, tolerating
-// corruption: it returns every record up to (excluding) the first bad
-// one, plus the byte length of that good prefix. A missing file, an
-// empty file, or a torn (newline-less) header is zero decisions. A
-// complete-but-alien header and a header from a newer Version are
-// errors — such files must not be truncated or overwritten.
-func readDecisions(path string) (entries []engine.Entry, goodLen int64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-
-	r := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	// readLine returns the next newline-terminated line. A final line
-	// without its newline is a torn write — not a good record even if
-	// it happens to parse — and reads as a clean end. Any other read
-	// error is a real I/O failure and must abort the load: truncating
-	// at that point would destroy records that are still fine on disk.
-	readLine := func() ([]byte, bool, error) {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			return nil, false, nil
-		}
-		if err != nil {
-			return nil, false, fmt.Errorf("store: reading %s: %w", path, err)
-		}
-		off += int64(len(line))
-		return bytes.TrimSuffix(line, []byte("\n")), true, nil
-	}
-
-	hline, ok, err := readLine()
-	if err != nil {
-		return nil, 0, err
-	}
-	if !ok {
-		// Empty file, or a header torn mid-write (no newline made it to
-		// disk): nothing was ever durably stored, so zero decisions and
-		// a goodLen of 0 are the truth.
-		return nil, 0, nil
-	}
-	var h header
-	if json.Unmarshal(hline, &h) != nil || h.Format != Format {
-		// A complete first line that is not our header means this is
-		// not (or no longer) a decision-store file — a stray file at
-		// the path, or header corruption in place. Refuse rather than
-		// truncate: the tail may still hold thousands of good records
-		// (or someone else's data), and destroying them is worse than
-		// asking the operator to move the file aside.
-		return nil, 0, fmt.Errorf("store: %s has no decision-store header (refusing to overwrite; move the file aside to start fresh)", path)
-	}
-	if h.Version > Version {
-		return nil, 0, fmt.Errorf("store: %s is format version %d, newer than this build's %d", path, h.Version, Version)
-	}
-	goodLen = off
-	for {
-		line, ok, err := readLine()
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			return entries, goodLen, nil
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			// Blank line: tolerate and keep it in the good prefix.
-			goodLen = off
-			continue
-		}
-		e, err := decodeEntry(line)
-		if err != nil {
-			return entries, goodLen, nil
-		}
-		entries = append(entries, e)
-		goodLen = off
-	}
 }
 
 // request kinds served by the flusher goroutine.
@@ -252,8 +131,9 @@ type Store struct {
 	err      error // first journal I/O error, sticky
 
 	// Owned by the flusher goroutine after Open returns.
-	journal *os.File
-	bw      *bufio.Writer
+	journal *framelog.Appender
+	// unlock releases the journal's single-writer lock; Close calls it.
+	unlock func()
 }
 
 // Open opens (creating if absent) the decision store at path and
@@ -262,6 +142,8 @@ type Store struct {
 // skipped, and the journal is physically truncated to its last good
 // record so appends resume cleanly. The returned store appends every
 // decision the cache computes from now on, asynchronously, until Close.
+// The store holds an exclusive lock on its journal until Close: a second
+// Open of the same path, from this process or another, fails.
 func Open(path string) (*Store, error) {
 	if path == "" {
 		return nil, errors.New("store: empty path")
@@ -274,55 +156,36 @@ func Open(path string) (*Store, error) {
 		reqs:  make(chan request),
 		done:  make(chan struct{}),
 	}
-
-	snap, _, err := readDecisions(s.path)
+	unlock, err := lockJournal(s.jpath)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range snap {
-		s.cache.Insert(e)
-	}
-	jrnl, goodLen, err := readDecisions(s.jpath)
-	if err != nil {
-		return nil, err
+	insert := func(payload []byte) error {
+		e, err := decodeEntry(payload)
+		if err == nil {
+			s.cache.Insert(e)
+		}
+		return err
 	}
 	// Journal entries overwrite snapshot entries: they are newer (and,
 	// the deciders being deterministic, identical for identical keys).
-	for _, e := range jrnl {
-		s.cache.Insert(e)
+	_, err = framelog.ScanFile(s.path, format, insert)
+	var good int64
+	if err == nil {
+		good, err = framelog.ScanFile(s.jpath, format, insert)
 	}
+	if err == nil {
+		s.journal, err = framelog.OpenAppender(s.jpath, format, good)
+	}
+	if err != nil {
+		unlock()
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	s.unlock = unlock
 	// Count distinct decisions, not records: after a crash between
 	// compact's snapshot rename and its journal reset, journal records
 	// duplicate snapshot ones and collapse on Insert.
 	_, _, s.loaded = s.cache.Stats()
-
-	f, err := os.OpenFile(s.jpath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if fi.Size() != goodLen {
-		if err := f.Truncate(goodLen); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.journal = f
-	s.bw = bufio.NewWriterSize(f, 1<<16)
-	if goodLen == 0 {
-		if err := s.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
 
 	s.cache.SetSink(s.enqueue)
 	go s.flusher()
@@ -346,19 +209,6 @@ func (s *Store) enqueue(e engine.Entry) {
 		return
 	}
 	s.queue <- e
-}
-
-// writeHeader writes (buffered) the format header at the journal's
-// current position.
-func (s *Store) writeHeader() error {
-	hb, err := json.Marshal(header{Format: Format, Version: Version})
-	if err != nil {
-		return err
-	}
-	if _, err := s.bw.Write(append(hb, '\n')); err != nil {
-		return err
-	}
-	return s.bw.Flush()
 }
 
 // setErr records the first journal I/O error.
@@ -403,9 +253,7 @@ func (s *Store) flusher() {
 		default:
 			// Queue idle: make the buffered appends visible to the OS
 			// before blocking.
-			if s.bw.Buffered() > 0 {
-				s.setErr(s.bw.Flush())
-			}
+			s.setErr(s.journal.Flush())
 			select {
 			case e, ok = <-s.queue:
 			case req = <-s.reqs:
@@ -435,9 +283,8 @@ func (s *Store) flusher() {
 			continue
 		}
 		if !ok {
-			s.setErr(s.bw.Flush())
-			s.setErr(s.journal.Sync())
 			s.setErr(s.journal.Close())
+			s.unlock()
 			return
 		}
 		s.append(e)
@@ -446,12 +293,11 @@ func (s *Store) flusher() {
 
 // append journals one decision (buffered; errors are sticky).
 func (s *Store) append(e engine.Entry) {
-	line, err := encodeEntry(e)
-	if err != nil {
-		s.setErr(err)
-		return
+	payload, err := encodeEntry(e)
+	if err == nil {
+		err = s.journal.Append(payload)
 	}
-	if _, err := s.bw.Write(line); err != nil {
+	if err != nil {
 		s.setErr(err)
 		return
 	}
@@ -460,22 +306,16 @@ func (s *Store) append(e engine.Entry) {
 	s.mu.Unlock()
 }
 
-// sync pushes the write buffer to the OS and the OS cache to disk.
+// sync pushes the write buffer to the OS and the OS cache to disk, and
+// returns the store's sticky error.
 func (s *Store) sync() error {
-	if err := s.bw.Flush(); err != nil {
-		s.setErr(err)
-		return err
-	}
-	if err := s.journal.Sync(); err != nil {
-		s.setErr(err)
-		return err
-	}
+	s.setErr(s.journal.Commit())
 	return s.Err()
 }
 
 // compact rewrites the snapshot with the cache's current contents and
 // resets the journal. Runs on the flusher goroutine. Crash-safety: the
-// snapshot replacement is atomic (temp file + rename), and the journal
+// snapshot replacement is atomic (framelog.WriteFile), and the journal
 // is only reset afterwards — a crash between the two leaves journal
 // entries that duplicate snapshot entries, which the next Open absorbs
 // (Insert overwrites).
@@ -499,69 +339,19 @@ func (s *Store) compact() error {
 		}
 		return a.N < b.N
 	})
-
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(s.path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	w := bufio.NewWriterSize(tmp, 1<<16)
-	hb, err := json.Marshal(header{Format: Format, Version: Version})
-	if err == nil {
-		_, err = w.Write(append(hb, '\n'))
-	}
-	for i := 0; err == nil && i < len(entries); i++ {
-		var line []byte
-		if line, err = encodeEntry(entries[i]); err == nil {
-			_, err = w.Write(line)
+	payloads := make([][]byte, len(entries))
+	for i, e := range entries {
+		var err error
+		if payloads[i], err = encodeEntry(e); err != nil {
+			return err
 		}
 	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.path)
-	}
-	if err != nil {
+	if err := framelog.WriteFile(s.path, format, payloads); err != nil {
 		return err
 	}
-	syncDir(dir)
-
 	// Reset the journal to a bare header; appends continue after it.
-	if err := s.journal.Truncate(0); err != nil {
-		s.setErr(err)
-		return err
-	}
-	if _, err := s.journal.Seek(0, io.SeekStart); err != nil {
-		s.setErr(err)
-		return err
-	}
-	s.bw.Reset(s.journal)
-	if err := s.writeHeader(); err != nil {
-		s.setErr(err)
-		return err
-	}
-	if err := s.journal.Sync(); err != nil {
-		s.setErr(err)
-		return err
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable. Best effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	s.setErr(s.journal.Reset())
+	return s.Err()
 }
 
 // request round-trips one control request to the flusher.
@@ -580,12 +370,13 @@ func (s *Store) do(kind int) error {
 func (s *Store) Flush() error { return s.do(reqFlush) }
 
 // Compact folds the journal (and any prior snapshot) into a freshly
-// written snapshot — atomically, via temp file + rename — and resets the
+// written snapshot — atomically, via framelog.WriteFile — and resets the
 // journal to empty. Load time and disk use shrink to one record per
 // distinct decision.
 func (s *Store) Compact() error { return s.do(reqCompact) }
 
-// Close stops persisting, drains and syncs the journal, and closes it.
+// Close stops persisting, drains and syncs the journal, closes it and
+// releases its lock.
 // Decisions the cache computes after Close are not persisted. Close is
 // idempotent; it returns the store's sticky I/O error, if any.
 func (s *Store) Close() error {

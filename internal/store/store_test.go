@@ -2,12 +2,15 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/framelog"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
@@ -118,7 +121,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %+v: %v", e, err)
 		}
-		dec, err := decodeEntry(bytes.TrimSuffix(b1, []byte("\n")))
+		dec, err := decodeEntry(b1)
 		if err != nil {
 			t.Fatalf("decode %s: %v", b1, err)
 		}
@@ -156,8 +159,9 @@ func TestCorruptedJournalTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A torn final record: a prefix of a valid line, no newline.
-	torn := append(append([]byte{}, good...), []byte(`{"e":{"fp":"00`)...)
+	// A torn final record: the first frame's length, CRC and part of its
+	// payload, with the rest never written.
+	torn := append(append([]byte{}, good...), good[framelog.HeaderSize:framelog.HeaderSize+20]...)
 	if err := os.WriteFile(jpath, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,7 @@ func TestCorruptedJournalTruncates(t *testing.T) {
 		t.Fatalf("journal not truncated to good prefix: size %d, want %d (err %v)",
 			fiSize(fi), len(good), err)
 	}
-	// Appends after the truncation must land on a clean line boundary.
+	// Appends after the truncation must land on a clean frame boundary.
 	analyzeInto(t, st2, 4)
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
@@ -186,6 +190,16 @@ func TestCorruptedJournalTruncates(t *testing.T) {
 	if got := st3.Stats().Loaded; got <= entries {
 		t.Fatalf("post-truncation appends lost: loaded %d, want > %d", got, entries)
 	}
+}
+
+// frameOffsets returns the offset of every frame of a well-formed log.
+func frameOffsets(t *testing.T, data []byte) []int {
+	t.Helper()
+	var offs []int
+	for o := framelog.HeaderSize; o < len(data); o += 8 + int(binary.LittleEndian.Uint32(data[o:])) {
+		offs = append(offs, o)
+	}
+	return offs
 }
 
 func fiSize(fi os.FileInfo) int64 {
@@ -213,17 +227,14 @@ func TestCorruptedMidRecordDropsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	// lines: header, then records, then one empty trailer from SplitAfter.
-	records := len(lines) - 2
-	if records < 3 {
-		t.Fatalf("need >= 3 records, have %d", records)
+	offs := frameOffsets(t, data)
+	if len(offs) < 3 {
+		t.Fatalf("need >= 3 records, have %d", len(offs))
 	}
-	victim := 1 + records/2
-	// Flip a byte inside the CRC-protected entry bytes.
-	mid := len(lines[victim]) / 2
-	lines[victim][mid] ^= 0x01
-	if err := os.WriteFile(jpath, bytes.Join(lines, nil), 0o644); err != nil {
+	victim := len(offs) / 2
+	// Flip a byte inside the CRC-protected payload of the victim frame.
+	data[offs[victim]+8+4] ^= 0x01
+	if err := os.WriteFile(jpath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,7 +243,7 @@ func TestCorruptedMidRecordDropsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got, want := st2.Stats().Loaded, victim-1; got != want {
+	if got, want := st2.Stats().Loaded, victim; got != want {
 		t.Fatalf("loaded %d decisions after mid-file corruption, want %d", got, want)
 	}
 }
@@ -270,9 +281,8 @@ func TestCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, _ := json.Marshal(header{Format: Format, Version: Version})
-	if jfi.Size() != int64(len(hb)+1) {
-		t.Errorf("journal size after compact = %d, want bare header %d", jfi.Size(), len(hb)+1)
+	if jfi.Size() != framelog.HeaderSize {
+		t.Errorf("journal size after compact = %d, want bare header %d", jfi.Size(), framelog.HeaderSize)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -288,16 +298,28 @@ func TestCompact(t *testing.T) {
 	}
 }
 
-// TestNewerVersionRefused ensures a file from a future format version is
-// an error, not a silent truncation.
+// TestNewerVersionRefused ensures a file from a future format version,
+// or a line-oriented JSON file of version 1, is an error that leaves the
+// file byte-identical, not a silent truncation.
 func TestNewerVersionRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "decisions")
-	hb, _ := json.Marshal(header{Format: Format, Version: Version + 1})
-	if err := os.WriteFile(path+journalSuffix, append(hb, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("Open accepted a journal from a newer format version")
+	newer := framelog.Format{Magic: Magic, Version: Version + 1}.Header()
+	v1 := []byte(`{"format":"repro-decision-store","version":1}` + "\n" +
+		`{"e":{"fp":"0000000000000001","prop":"discerning","n":2,"ok":false},"c":1}` + "\n")
+	for _, data := range [][]byte{newer, v1} {
+		for _, suffix := range []string{"", journalSuffix} {
+			path := filepath.Join(t.TempDir(), "decisions")
+			if err := os.WriteFile(path+suffix, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(path); err == nil {
+				t.Fatalf("Open accepted %q at %q", data, suffix)
+			} else if !strings.Contains(err.Error(), path+suffix) {
+				t.Errorf("refusal does not name the file: %v", err)
+			}
+			if got, err := os.ReadFile(path + suffix); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("refused file was modified: %q (err %v)", got, err)
+			}
+		}
 	}
 }
 
@@ -318,9 +340,10 @@ func TestAlienFileRefused(t *testing.T) {
 	if err != nil || !bytes.Equal(got, stray) {
 		t.Fatalf("refused file was modified: %q (err %v)", got, err)
 	}
-	// A torn header (no newline ever made it to disk) is the one header
-	// failure that IS a clean crash artifact: Open starts fresh.
-	if err := os.WriteFile(jpath, []byte(`{"format":"repro-dec`), 0o644); err != nil {
+	// A torn header (only a prefix of the magic made it to disk) is the
+	// one header failure that IS a clean crash artifact: Open starts
+	// fresh.
+	if err := os.WriteFile(jpath, []byte(Magic[:5]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(path)
@@ -328,6 +351,33 @@ func TestAlienFileRefused(t *testing.T) {
 		t.Fatalf("torn header must open fresh: %v", err)
 	}
 	st.Close()
+}
+
+// TestSecondOpenLocked pins the single-writer rule: while a store is
+// open, a second Open of its path fails with an error naming the
+// journal, and succeeds once the first store is closed.
+func TestSecondOpenLocked(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decisions")
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2, err := Open(path); err == nil {
+		st2.Close()
+		t.Fatal("second Open of an open store succeeded")
+	} else if !strings.Contains(err.Error(), path+journalSuffix) {
+		t.Errorf("lock error does not name the journal: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestFlushMakesAppendsDurable checks Flush pushes queued appends to the
@@ -344,11 +394,14 @@ func TestFlushMakesAppendsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, entries := st.Cache().Stats()
-	got, _, err := readDecisions(path + journalSuffix)
-	if err != nil {
+	got := 0
+	if _, err := framelog.ScanFile(path+journalSuffix, format, func([]byte) error {
+		got++
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != entries {
-		t.Fatalf("journal holds %d decisions after Flush, want %d", len(got), entries)
+	if got != entries {
+		t.Fatalf("journal holds %d decisions after Flush, want %d", got, entries)
 	}
 }
